@@ -244,8 +244,8 @@ class RunDir:
     """Owns a run's output directory, tracks artifacts, writes the manifest."""
 
     def __init__(self, path: Path):
+        # created on the first write, so a rejected run leaves no directory
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.artifacts: List[str] = []
         self.t0 = time.time()
 
@@ -256,6 +256,7 @@ class RunDir:
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
+        self.path.mkdir(parents=True, exist_ok=True)
         p = self.path / name
         p.write_text(text)
         if name not in self.artifacts:
@@ -272,6 +273,7 @@ class RunDir:
         for name in sorted(self.artifacts):
             digest = hashlib.sha256((self.path / name).read_bytes()).hexdigest()
             lines.append(f"sha256.{name}={digest}")
+        self.path.mkdir(parents=True, exist_ok=True)
         p = self.path / "manifest.txt"
         p.write_text("\n".join(lines) + "\n")
         return p
@@ -299,14 +301,33 @@ def _gamma_key(gamma: float) -> int:
     return int(round(gamma * 1e9))
 
 
+def _reject_collisions(cells, streams, names) -> None:
+    """Refuses a sweep in which two cells would draw from one RNG stream
+    or write one file: one would silently repeat or overwrite the other."""
+    for what, values in (("RNG stream", streams), ("output file", names)):
+        seen = {}
+        for cell, value in zip(cells, values):
+            if value in seen:
+                raise UsageError(f"cells {seen[value]} and {cell} share the {what} {value}")
+            seen[value] = cell
+
+
 # ---------------------------------------------------------------------------
 # sleep-ideal and sleep-rate
+
+
+def _sleep_stream(k: int, gamma: float, seed_idx: int) -> Tuple[int, ...]:
+    return (7, k, _gamma_key(gamma), seed_idx)
+
+
+def _sleep_traj_name(k: int, gamma: float, seed_idx: int) -> str:
+    return f"traj_k{k}_g{gamma:g}_s{seed_idx}.csv"
 
 
 def _sleep_cell(cfg, out: RunDir, k: int, gamma: float, seed_idx: int,
                 rate: bool) -> Tuple[int, float, int, float]:
     """One (k, gamma, seed) run; returns the summary row."""
-    stream = RngStream(cfg["seed"], (7, k, _gamma_key(gamma), seed_idx))
+    stream = RngStream(cfg["seed"], _sleep_stream(k, gamma, seed_idx))
     gen = stream.generator()
     bundle = WeightBundle.from_rng(gen, cfg["n"], k * k,
                                    mean=cfg["init_mean"], std=cfg["init_std"])
@@ -326,13 +347,14 @@ def _sleep_cell(cfg, out: RunDir, k: int, gamma: float, seed_idx: int,
             bundle, _circuit(cfg), sleep_cfg, gen,
             plasticity=cfg["plasticity"], rate_const=cfg["rate_const"],
             reset_rates=cfg["reset_rates"], mode="ode")
-    name = f"traj_k{k}_g{gamma:g}_s{seed_idx}.csv"
+    name = _sleep_traj_name(k, gamma, seed_idx)
     if cfg["iters"] > 0:
         rows = [(i, float(v), -1) for i, v in enumerate(result.trajectory)]
         out.write_csv(name, "iteration,neg_log_snr,grid", rows)
         if rate:
             out.write_text(name.replace(".csv", ".meta"),
-                           f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n")
+                           f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
+                           f"frac_nonneg={_csv_cell(result.frac_nonneg)}\n")
     return (k, gamma, seed_idx, result.terminal)
 
 
@@ -347,6 +369,12 @@ def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
     # streams, same runner) as the idealized command, so the CSVs match
     cells = [(k, g, s) for k in cfg["k"] for g in cfg["gamma"]
              for s in range(cfg["seeds"])]
+    _reject_collisions(cells, [_sleep_stream(*c) for c in cells],
+                       [_sleep_traj_name(*c) for c in cells])
+    if not cfg["alpha"] > 0:
+        raise UsageError(f"alpha must be > 0 or inf, got {cfg['alpha']}")
+    if not all(g > 0 for g in cfg["gamma"]):
+        raise UsageError(f"every gamma must be > 0, got {_fmt_value(cfg['gamma'])}")
 
     def run(cell):
         k, g, s = cell
@@ -367,6 +395,14 @@ def cmd_sleep_ideal(cfg, out: RunDir) -> int:
 def cmd_sleep_rate(cfg, out: RunDir) -> int:
     if cfg["mode"] not in ("ode", "discrete"):
         raise UsageError(f"mode must be ode or discrete, got {cfg['mode']!r}")
+    if cfg["plasticity"] not in ("continuous", "terminal"):
+        raise UsageError(
+            f"plasticity must be continuous or terminal, got {cfg['plasticity']!r}")
+    if cfg["mode"] == "ode":
+        # the circuit has no heavy-ball state and one shared input
+        for key in ("momentum", "sigma"):
+            if cfg[key] != 0.0:
+                raise UsageError(f"--{key} is not used in ode mode; got {cfg[key]}")
     # constructing a circuit validates dt <= tau/10 and present_ms/dt
     try:
         _circuit(cfg)
@@ -423,36 +459,47 @@ def cmd_fixed_point(cfg, out: RunDir) -> int:
 # noise-floor
 
 
+def _sigma_stream(sigma: float, seed_idx: int) -> Tuple[int, ...]:
+    return (11, _gamma_key(sigma), seed_idx)
+
+
+def _sigma_traj_name(sigma: float, seed_idx: int) -> str:
+    return f"traj_sigma{sigma:g}_s{seed_idx}.csv"
+
+
 def cmd_noise_floor(cfg, out: RunDir) -> int:
     slope_cells = list(range(cfg["seeds"]))
+    plateau_cells = [(sig, s) for sig in cfg["sigma"] for s in range(cfg["seeds"])]
+    # the slope cells run at sigma 0, so a plateau sigma of 0 collides too
+    cells = [(0.0, s) for s in slope_cells] + plateau_cells
+    _reject_collisions(cells, [_sigma_stream(*c) for c in cells],
+                       [_sigma_traj_name(*c) for c in cells])
 
     def run_slope(s):
-        stream = RngStream(cfg["seed"], (11, 0, s))
+        stream = RngStream(cfg["seed"], _sigma_stream(0.0, s))
         res = sharing.noise_floor_run(
             cfg["n"], cfg["d"], cfg["m"], cfg["gamma"], 0.0,
             cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"], stream,
             w_init_mean=cfg["w_init_mean"], w_init_std=cfg["w_init_std"],
             input_mean=cfg["input_mean"], input_std=cfg["input_std"])
         rows = [(i, float(v)) for i, v in enumerate(res.dist_sq)]
-        out.write_csv(f"traj_sigma0_s{s}.csv", "iteration,dist_sq", rows)
+        out.write_csv(_sigma_traj_name(0.0, s), "iteration,dist_sq", rows)
         return sharing.loglog_slope(res.dist_sq)
 
     slopes = _run_cells(slope_cells, run_slope, cfg["jobs"])
     out.write_csv("slopes.csv", "seed,loglog_slope",
                   [(s, sl) for s, sl in enumerate(slopes)])
 
-    plateau_cells = [(sig, s) for sig in cfg["sigma"] for s in range(cfg["seeds"])]
-
     def run_plateau(cell):
         sig, s = cell
-        stream = RngStream(cfg["seed"], (11, _gamma_key(sig), s))
+        stream = RngStream(cfg["seed"], _sigma_stream(sig, s))
         res = sharing.noise_floor_run(
             cfg["n"], cfg["d"], cfg["m"], cfg["gamma"], sig,
             cfg["a"], cfg["b"], cfg["iters"], stream,
             w_init_mean=cfg["w_init_mean"], w_init_std=cfg["w_init_std"],
             input_mean=cfg["input_mean"], input_std=cfg["input_std"])
         rows = [(i, float(v)) for i, v in enumerate(res.dist_sq)]
-        out.write_csv(f"traj_sigma{sig:g}_s{s}.csv", "iteration,dist_sq", rows)
+        out.write_csv(_sigma_traj_name(sig, s), "iteration,dist_sq", rows)
         return res.plateau
 
     plateaus = _run_cells(plateau_cells, run_plateau, cfg["jobs"])

@@ -5,7 +5,7 @@ N excitatory units share one inhibitory unit:
     tau dr_i/dt    = -r_i + w_i . x - alpha * r_inh + b
     tau dr_inh/dt  = -r_inh + mean_j r_j - b
 
-Integrated with forward Euler (dt <= tau/10). At the fixed point the
+Discretized with forward Euler (dt <= tau/10). At the fixed point the
 deviation r_i - b equals z_i - c * mean z with c = alpha/(1+alpha), so
 anti-Hebbian plasticity -(r_i - b) x reproduces the finite-alpha
 equalization update.
@@ -17,6 +17,22 @@ Plasticity modes:
     makes the published iteration counts reachable; see ledger notes.
     "terminal": a single update per presentation from the settled rates;
     equals the discrete finite-alpha rule once the ODE has settled.
+
+`rate_sleep_run` does not loop over the Euler steps. Within one
+presentation the input x and the step size eta are fixed, so the Euler
+recurrence on (rates, inhibitory rate, weights) is affine and splits
+exactly, with x_hat = x/|x|, a_i = (w_i - w0_i) . x_hat and
+z0_i = w0_i . x, into
+
+    a 5x5 mean mode on (mean r, mean a, r_inh, mean z0, 1),
+    a 3x3 deviation mode on (r_i - mean r, a_i - mean a, z0_i - mean z0)
+        shared by all neurons,
+    a scalar decay (1 - eta*gain*gamma)^T of the part of w_i - w0_i
+        orthogonal to x_hat,
+
+so T Euler steps are two matrix powers and one O(N*D) reconstruction of
+the weights. `rate_step` is the single Euler step the propagator is the
+T-fold power of.
 """
 
 from __future__ import annotations
@@ -106,6 +122,24 @@ class RateSleepResult(SleepResult):
     frac_nonneg: float = 1.0   # presentations whose settled rates stayed >= 0
 
 
+def _euler_step_matrix(c: float, s: float, h: float, gamma: float,
+                       alpha: float, b: float) -> np.ndarray:
+    """One Euler step of (mean r, mean a, r_inh, mean z0, 1) as a 5x5 matrix:
+    the rate update at the step's starting weights, then the plasticity
+    update with per-step gain h from the new rates. Rows and columns
+    (0, 1, 3) are the step of the per-neuron deviations from those means,
+    which the shared r_inh and the constants do not reach."""
+    rates = np.eye(5)
+    rates[0] = (1.0 - c, c * s, -c * alpha, c, c * b)
+    rates[2] = (c, 0.0, 1.0 - c, 0.0, -c * b)
+    plastic = np.eye(5)
+    plastic[1] = (-h * s, 1.0 - h * gamma, 0.0, 0.0, h * s * b)
+    return plastic @ rates
+
+
+_DEVIATION = np.ix_((0, 1, 3), (0, 1, 3))
+
+
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
                    rng: RngStream, plasticity: str = "continuous",
                    rate_const: float = 2.0, reset_rates: bool = False,
@@ -113,11 +147,15 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     """Present config.iterations inputs through the circuit and adapt the
     bundle with the anti-Hebbian rule.
 
-    mode "ode" integrates the rate equations (alpha = inf degenerates to
-    the exactly-centered update applied at the same per-step gain, the
+    mode "ode" advances the Euler-discretized rate equations by one
+    exact propagator per presentation (alpha = inf degenerates to the
+    exactly-centered update applied at the same per-step gain, the
     settled limit of the circuit). mode "discrete" skips the ODE and
     applies the one-update-per-presentation finite-alpha rule, which is
     the same code path as the idealized runner.
+
+    Non-finite rates or weights raise DivergenceError naming the
+    presentation, checked once per presentation.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     if mode == "discrete":
@@ -136,36 +174,57 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     if not ideal:
         circuit.reset(n)
     steps = circuit.steps_per_presentation
-    gain = rate_const * circuit.dt            # per-step plasticity gain
+    # The settled limit follows the centered drive within each step (c = 1)
+    # and propagates only the deviation mode, which alpha does not reach.
+    c = 1.0 if ideal else circuit.dt / circuit.tau
+    alpha = 0.0 if ideal else circuit.alpha
+    gain = rate_const * circuit.dt if plasticity == "continuous" else 0.0
     traj = np.empty(config.iterations)
     initial = neg_log_snr(w)
     nonneg = 0
     for k in range(config.iterations):
         x = gen.normal(config.input_mean, config.input_std, size=d)
         eta = config.schedule(k)
-        if ideal:
-            # settled limit: exactly centered deviation, same step gain
-            for _ in range(steps):
-                if plasticity == "continuous":
-                    z = w @ x
-                    w -= eta * gain * ((z - z.mean())[:, None] * x[None, :] + config.gamma * (w - w0))
-            if plasticity == "terminal":
-                z = w @ x
-                w -= eta * ((z - z.mean())[:, None] * x[None, :] + config.gamma * (w - w0))
-            nonneg += 1
-        else:
-            if reset_rates:
+        h = eta * gain
+        if h or not ideal:
+            if reset_rates and not ideal:
                 circuit.reset(n)
-            for _ in range(steps):
-                rate_step(circuit, w @ x)
-                if plasticity == "continuous":
-                    w -= eta * gain * ((circuit.r - circuit.b)[:, None] * x[None, :]
-                                       + config.gamma * (w - w0))
-            if plasticity == "terminal":
-                w -= eta * ((circuit.r - circuit.b)[:, None] * x[None, :]
-                            + config.gamma * (w - w0))
-            if circuit.r.min() >= 0.0:
-                nonneg += 1
+            s = math.sqrt(float(x @ x))
+            x_hat = x / s if s else x
+            dw = w - w0
+            # per-neuron (r_i, a_i, z0_i), split into means and deviations
+            dev = np.stack((np.zeros(n) if ideal else circuit.r, dw @ x_hat, w0 @ x))
+            mean = dev.mean(axis=1)
+            dev -= mean[:, None]
+            step = _euler_step_matrix(c, s, h, config.gamma, alpha, circuit.b)
+            dev_end = np.linalg.matrix_power(step[_DEVIATION], steps) @ dev
+            dec = (1.0 - h * config.gamma) ** steps
+            if ideal:
+                a_mean_end = dec * mean[1]
+            else:
+                mean_end = np.linalg.matrix_power(step, steps) @ (
+                    mean[0], mean[1], circuit.r_inh, mean[2], 1.0)
+                circuit.r[:] = mean_end[0] + dev_end[0]
+                circuit.r_inh = float(mean_end[2])
+                circuit.t_ms += steps * circuit.dt
+                if not np.all(np.isfinite(circuit.r)) or not math.isfinite(circuit.r_inh):
+                    raise DivergenceError("rate dynamics diverged",
+                                          f"presentation {k}, t = {circuit.t_ms:.1f} ms")
+                a_mean_end = mean_end[1]
+            if h:
+                # w <- w0 + dec (w - w0) + (a_end - dec a) x_hat
+                dw *= dec
+                dw += np.outer(a_mean_end - dec * mean[1] + dev_end[1] - dec * dev[1], x_hat)
+                np.add(w0, dw, out=w)
+        if plasticity == "terminal":
+            if ideal:
+                z = w @ x
+                settled = z - z.mean()
+            else:
+                settled = circuit.r - circuit.b
+            w -= eta * (settled[:, None] * x[None, :] + config.gamma * (w - w0))
+        if ideal or circuit.r.min() >= 0.0:
+            nonneg += 1
         if not np.all(np.isfinite(w)):
             raise DivergenceError("non-finite weights in rate sleep run",
                                   f"presentation {k}")

@@ -1,9 +1,9 @@
 """End-to-end acceptance checks, one per numbered criterion.
 
 Each test prints a `[criterion N] PASS/FAIL` line (visible under
-`pytest -s`) and asserts the stated tolerance. The slow entries are the
-desk-scale arm comparison (~25 min) and the rate-circuit cell (~4 min);
-the whole file runs in under an hour on one core.
+`pytest -s`) and asserts the stated tolerance. The slow entry is the
+desk-scale arm comparison (~25 min); the rate-circuit cell takes a few
+seconds. The whole file runs in under an hour on one core.
 """
 
 import csv

@@ -120,11 +120,65 @@ def test_rate_meta_sidecar(tmp_path):
                "--out", str(out)) == 0
     meta = (out / "traj_k3_g0.01_s0.meta").read_text()
     assert "alpha=" in meta and "tau_ms=" in meta and "dt_ms=" in meta
+    fields = dict(line.split("=", 1) for line in meta.splitlines())
+    assert 0.0 <= float(fields["frac_nonneg"]) <= 1.0
 
 
 def test_rate_rejects_coarse_dt(tmp_path):
     assert run("sleep-rate", "--dt-ms", "5", "--tau-ms", "30",
                "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+
+
+def test_rate_rejects_unknown_plasticity(tmp_path):
+    out = tmp_path / "o"
+    assert run("sleep-rate", "--plasticity", "foo", *SMALL_SLEEP,
+               "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
+@pytest.mark.parametrize("mode", ["ode", "discrete"])
+def test_rate_rejects_nonpositive_alpha(tmp_path, mode, alpha):
+    out = tmp_path / "o"
+    assert run("sleep-rate", "--mode", mode, "--alpha", alpha, *SMALL_SLEEP,
+               "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["sleep-ideal", "sleep-rate"])
+def test_sweep_rejects_nonpositive_gamma(tmp_path, sub):
+    # the summary's floor column is undefined at gamma <= 0
+    out = tmp_path / "o"
+    assert run(sub, *SMALL_SLEEP, "--gamma", "1e-2,0", "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--momentum", "--sigma"])
+def test_ode_rejects_discrete_only_flags(tmp_path, flag):
+    out = tmp_path / "o"
+    assert run("sleep-rate", "--mode", "ode", flag, "0.5", *SMALL_SLEEP,
+               "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep", [["--gamma", "0.001,0.0010000001"],
+                                   ["--k", "3,3"]])
+@pytest.mark.parametrize("sub", ["sleep-ideal", "sleep-rate"])
+def test_sweep_rejects_colliding_cells(tmp_path, sub, sweep):
+    # cells that share a stream or a file name would overwrite each other
+    out = tmp_path / "o"
+    assert run(sub, "--k", "3", "--gamma", "1e-2", "--seeds", "1", "--iters", "5",
+               *sweep, "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigmas", ["0.1,0.10000000001", "0,0.1", "0.2,0.2"])
+def test_noise_floor_rejects_colliding_sigmas(tmp_path, sigmas):
+    # sigma 0 is the slope cells' stream and file name
+    out = tmp_path / "o"
+    assert run("noise-floor", "--sigma", sigmas, "--seeds", "1", "--iters", "5",
+               "--slope-iters", "20", "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
 
 
 def test_fixed_point_clean_run(tmp_path):

@@ -164,7 +164,7 @@ def test_reset_rates_changes_trajectory():
 
 
 def test_ideal_ode_tracks_discrete_shape():
-    # alpha = inf ode path applies the centered update in micro-steps;
+    # alpha = inf ode path applies the centered update at every Euler step;
     # trajectory must fall toward the floor like the discrete rule does
     gen = RngStream(0, (44,)).generator()
     bundle = ss.WeightBundle.from_rng(gen, 60, 9)
@@ -173,3 +173,100 @@ def test_ideal_ode_tracks_discrete_shape():
                          iterations=300, alpha=math.inf)
     res = ss.rate_sleep_run(bundle, make_circuit(alpha=math.inf), cfg, gen)
     assert res.trajectory[-1] < res.initial - 2.0
+
+
+def euler_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
+                         rate_const=2.0, reset_rates=False):
+    """Reference for rate_sleep_run's ode mode: every presentation steps
+    the circuit one forward-Euler step at a time with rate_step (alpha =
+    inf: the centered update) and applies the plasticity at each step."""
+    w, w0 = bundle.weights, bundle.init
+    ideal = math.isinf(circuit.alpha)
+    if not ideal:
+        circuit.reset(bundle.n)
+    gain = rate_const * circuit.dt
+    traj = np.empty(config.iterations)
+    nonneg = 0
+    for k in range(config.iterations):
+        x = gen.normal(config.input_mean, config.input_std, size=bundle.d)
+        eta = config.schedule(k)
+        if reset_rates and not ideal:
+            circuit.reset(bundle.n)
+
+        def settled():
+            if ideal:
+                z = w @ x
+                return z - z.mean()
+            return circuit.r - circuit.b
+
+        for _ in range(circuit.steps_per_presentation):
+            if not ideal:
+                ss.rate_step(circuit, w @ x)
+            if plasticity == "continuous":
+                w -= eta * gain * (settled()[:, None] * x[None, :]
+                                   + config.gamma * (w - w0))
+        if plasticity == "terminal":
+            w -= eta * (settled()[:, None] * x[None, :] + config.gamma * (w - w0))
+        if ideal or circuit.r.min() >= 0.0:
+            nonneg += 1
+        traj[k] = ss.neg_log_snr(w)
+    return traj, nonneg / config.iterations
+
+
+def propagator_and_oracle(alpha, plasticity, reset_rates, n, iterations):
+    """Runs rate_sleep_run, then the Euler reference, on the same cell and
+    stream; returns (output, bundle, circuit, generator) for each."""
+    runs = []
+    for runner in (ss.rate_sleep_run, euler_rate_sleep_run):
+        gen = RngStream(0, (7, 3, 1_000_000, 0)).generator()
+        bundle = ss.WeightBundle.from_rng(gen, n, 9)
+        circuit = make_circuit(alpha=alpha)
+        cfg = ss.SleepConfig(
+            gamma=1e-3, schedule=ss.Schedule("inverse_sqrt", 3e-4, 2.0, warmup=50),
+            iterations=iterations, alpha=alpha)
+        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity,
+                     reset_rates=reset_rates)
+        runs.append((out, bundle, circuit, gen))
+    return runs
+
+
+def assert_matches_oracle(runs):
+    (res, bundle, circuit, gen), ((traj, frac), ref_bundle, ref_circuit, ref_gen) = runs
+    assert np.abs(res.trajectory - traj).max() <= 1e-9
+    w_err = np.abs(bundle.weights - ref_bundle.weights).max()
+    assert w_err <= 1e-9 * np.abs(ref_bundle.weights).max()
+    assert res.frac_nonneg == frac
+    if not math.isinf(circuit.alpha):
+        assert np.abs(circuit.r - ref_circuit.r).max() <= 1e-9
+        assert abs(circuit.r_inh - ref_circuit.r_inh) <= 1e-9
+        assert circuit.t_ms == ref_circuit.t_ms
+    # the same draws in the same order leave both streams at one position
+    assert np.array_equal(gen.random(4), ref_gen.random(4))
+
+
+@pytest.mark.parametrize("reset_rates", [False, True])
+@pytest.mark.parametrize("plasticity", ["continuous", "terminal"])
+@pytest.mark.parametrize("alpha", [10.0, math.inf])
+def test_propagator_matches_euler_oracle(alpha, plasticity, reset_rates):
+    assert_matches_oracle(propagator_and_oracle(alpha, plasticity, reset_rates,
+                                                n=10, iterations=200))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha", [10.0, math.inf])
+def test_propagator_matches_euler_oracle_on_criterion_cell(alpha):
+    # the acceptance criterion-2 cell: N = 100, k = 3, 10 000 presentations
+    assert_matches_oracle(propagator_and_oracle(alpha, "continuous", False,
+                                                n=100, iterations=10_000))
+
+
+@pytest.mark.parametrize("alpha", [10.0, math.inf])
+def test_propagator_divergence_names_presentation(alpha):
+    gen = RngStream(0, (45,)).generator()
+    bundle = ss.WeightBundle.from_rng(gen, 10, 9)
+    cfg = ss.SleepConfig(gamma=1e-3, schedule=ss.Schedule("constant", 1e3),
+                         iterations=5, alpha=alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as exc:
+            ss.rate_sleep_run(bundle, make_circuit(alpha=alpha), cfg, gen)
+    assert "presentation 0" in str(exc.value)
