@@ -53,6 +53,14 @@ def _str_list(s):
     return [v for v in str(s).split(",") if v != ""]
 
 
+def _choice(*options):
+    def parse(s):
+        if str(s) not in options:
+            raise ValueError(f"{s!r} is not one of {', '.join(options)}")
+        return str(s)
+    return parse
+
+
 def _bool(s):
     if isinstance(s, bool):
         return s
@@ -75,7 +83,7 @@ SLEEP_IDEAL_SPEC = {
     "gamma": (_float_list, [1e-2, 1e-3]),
     "iters": (int, 2000),
     "seeds": (int, 10),
-    "schedule": (str, "inverse_time"),
+    "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
     "eta_a": (float, 0.5),
     "eta_b": (float, 1000.0),
     "warmup": (int, 0),
@@ -95,12 +103,12 @@ SLEEP_RATE_SPEC = {
     "dt_ms": (float, 1.0),
     "present_ms": (float, 150.0),
     "iters": (int, 10000),
-    "mode": (str, "ode"),
-    "plasticity": (str, "continuous"),
+    "mode": (_choice("ode", "discrete"), "ode"),
+    "plasticity": (_choice("continuous", "terminal"), "continuous"),
     "rate_const": (float, 2.0),
     "reset_rates": (_bool, False),
     "bias": (float, 1.0),
-    "schedule": (str, "inverse_sqrt"),
+    "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
     "eta_a": (float, 3e-4),
     "eta_b": (float, 2.0),
     "warmup": (int, 50),
@@ -154,8 +162,8 @@ TRAIN_SPEC = {
     "reps": (int, 16),
     "ws_every": (int, 1),
     "pad": (int, 4),
-    "optimizer": (str, "adamw"),
-    "share_mode": (str, "instant"),
+    "optimizer": (_choice(*trainer.OPTIMIZERS), "adamw"),
+    "share_mode": (_choice(*trainer.SHARE_MODES), "instant"),
     "share_iters": (int, 180),
     "val_fraction": (float, 0.0),
     "idx_images": (str, ""),
@@ -324,38 +332,44 @@ def _sleep_traj_name(k: int, gamma: float, seed_idx: int) -> str:
     return f"traj_k{k}_g{gamma:g}_s{seed_idx}.csv"
 
 
-def _sleep_cell(cfg, out: RunDir, k: int, gamma: float, seed_idx: int,
-                rate: bool) -> Tuple[int, float, int, float]:
-    """One (k, gamma, seed) run; returns the summary row."""
-    stream = RngStream(cfg["seed"], _sleep_stream(k, gamma, seed_idx))
-    gen = stream.generator()
-    bundle = WeightBundle.from_rng(gen, cfg["n"], k * k,
-                                   mean=cfg["init_mean"], std=cfg["init_std"])
-    sleep_cfg = SleepConfig(
+def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, int, float]]:
+    """Runs cells of one k, writes their trajectories and returns their
+    summary rows. Idealized and discrete-rate cells run as one stack
+    through the idealized runner; ode-mode cells run one at a time."""
+    gens = [RngStream(cfg["seed"], _sleep_stream(*cell)).generator() for cell in cells]
+    bundles = [WeightBundle.from_rng(gen, cfg["n"], k * k, mean=cfg["init_mean"],
+                                     std=cfg["init_std"])
+               for gen, (k, _, _) in zip(gens, cells)]
+    configs = [SleepConfig(
         gamma=gamma, schedule=_schedule_from_cfg(cfg), iterations=cfg["iters"],
         momentum=cfg["momentum"], input_mean=cfg["input_mean"],
         input_std=cfg["input_std"], sigma=cfg["sigma"], alpha=cfg["alpha"],
-    )
-    if not rate or cfg["mode"] == "discrete":
-        if rate:
-            result = ratecircuit.rate_sleep_run(
-                bundle, _circuit(cfg), sleep_cfg, gen, mode="discrete")
+    ) for (_, gamma, _) in cells]
+    ode = rate and cfg["mode"] == "ode"
+    try:
+        if ode:
+            results = [ratecircuit.rate_sleep_run(
+                bundle, _circuit(cfg), config, gen, plasticity=cfg["plasticity"],
+                rate_const=cfg["rate_const"], reset_rates=cfg["reset_rates"], mode="ode")
+                for bundle, config, gen in zip(bundles, configs, gens)]
         else:
-            result = sharing.sleep_run(bundle, sleep_cfg, gen)
-    else:
-        result = ratecircuit.rate_sleep_run(
-            bundle, _circuit(cfg), sleep_cfg, gen,
-            plasticity=cfg["plasticity"], rate_const=cfg["rate_const"],
-            reset_rates=cfg["reset_rates"], mode="ode")
-    name = _sleep_traj_name(k, gamma, seed_idx)
-    if cfg["iters"] > 0:
-        rows = [(i, float(v), -1) for i, v in enumerate(result.trajectory)]
-        out.write_csv(name, "iteration,neg_log_snr,grid", rows)
-        if rate:
-            out.write_text(name.replace(".csv", ".meta"),
-                           f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
-                           f"frac_nonneg={_csv_cell(result.frac_nonneg)}\n")
-    return (k, gamma, seed_idx, result.terminal)
+            results = sharing.sleep_run(bundles, configs, gens)
+    except DivergenceError as e:
+        k, gamma, seed_idx = cells[e.cell or 0]
+        raise DivergenceError(str(e), f"k={k}, gamma={gamma:g}, seed={seed_idx}") from e
+    rows = []
+    for (k, gamma, seed_idx), result in zip(cells, results):
+        name = _sleep_traj_name(k, gamma, seed_idx)
+        if cfg["iters"] > 0:
+            out.write_csv(name, "iteration,neg_log_snr,grid",
+                          [(i, float(v), -1) for i, v in enumerate(result.trajectory)])
+            if rate:
+                frac = result.frac_nonneg if ode else 1.0
+                out.write_text(name.replace(".csv", ".meta"),
+                               f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
+                               f"frac_nonneg={_csv_cell(frac)}\n")
+        rows.append((k, gamma, seed_idx, result.terminal))
+    return rows
 
 
 def _circuit(cfg) -> ratecircuit.RateCircuit:
@@ -376,13 +390,14 @@ def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
     if not all(g > 0 for g in cfg["gamma"]):
         raise UsageError(f"every gamma must be > 0, got {_fmt_value(cfg['gamma'])}")
 
-    def run(cell):
-        k, g, s = cell
-        return _sleep_cell(cfg, out, k, g, s, rate)
-
-    rows = _run_cells(cells, run, cfg["jobs"])
+    if rate and cfg["mode"] == "ode":
+        units = [[cell] for cell in cells]
+    else:
+        # one stack per k: its cells share the weight shape (n, k*k)
+        units = [[cell for cell in cells if cell[0] == k] for k in cfg["k"]]
+    rows = _run_cells(units, lambda unit: _sleep_cells(cfg, out, unit, rate), cfg["jobs"])
     summary = [(k, g, s, term, sharing.neg_log_snr_floor(g))
-               for (k, g, s, term) in rows]
+               for unit_rows in rows for (k, g, s, term) in unit_rows]
     out.write_csv("summary.csv",
                   "k,gamma,seed,terminal_neg_log_snr,neg_log_snr_floor", summary)
     return EXIT_OK
@@ -393,11 +408,6 @@ def cmd_sleep_ideal(cfg, out: RunDir) -> int:
 
 
 def cmd_sleep_rate(cfg, out: RunDir) -> int:
-    if cfg["mode"] not in ("ode", "discrete"):
-        raise UsageError(f"mode must be ode or discrete, got {cfg['mode']!r}")
-    if cfg["plasticity"] not in ("continuous", "terminal"):
-        raise UsageError(
-            f"plasticity must be continuous or terminal, got {cfg['plasticity']!r}")
     if cfg["mode"] == "ode":
         # the circuit has no heavy-ball state and one shared input
         for key in ("momentum", "sigma"):
@@ -475,42 +485,39 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
     _reject_collisions(cells, [_sigma_stream(*c) for c in cells],
                        [_sigma_traj_name(*c) for c in cells])
 
-    def run_slope(s):
-        stream = RngStream(cfg["seed"], _sigma_stream(0.0, s))
-        res = sharing.noise_floor_run(
-            cfg["n"], cfg["d"], cfg["m"], cfg["gamma"], 0.0,
-            cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"], stream,
-            w_init_mean=cfg["w_init_mean"], w_init_std=cfg["w_init_std"],
-            input_mean=cfg["input_mean"], input_std=cfg["input_std"])
-        rows = [(i, float(v)) for i, v in enumerate(res.dist_sq)]
-        out.write_csv(_sigma_traj_name(0.0, s), "iteration,dist_sq", rows)
-        return sharing.loglog_slope(res.dist_sq)
+    def run(cells, a, b, iters):
+        """The cells of one sigma as one stack; writes their trajectories."""
+        sig = cells[0][0]
+        try:
+            results = sharing.noise_floor_run(
+                cfg["n"], cfg["d"], cfg["m"], cfg["gamma"], sig, a, b, iters,
+                [RngStream(cfg["seed"], _sigma_stream(*cell)) for cell in cells],
+                w_init_mean=cfg["w_init_mean"], w_init_std=cfg["w_init_std"],
+                input_mean=cfg["input_mean"], input_std=cfg["input_std"])
+        except DivergenceError as e:
+            _, s = cells[e.cell]
+            raise DivergenceError(str(e), f"sigma={sig:g}, seed={s}") from e
+        for cell, res in zip(cells, results):
+            out.write_csv(_sigma_traj_name(*cell), "iteration,dist_sq",
+                          [(i, float(v)) for i, v in enumerate(res.dist_sq)])
+        return results
 
-    slopes = _run_cells(slope_cells, run_slope, cfg["jobs"])
+    slope_runs = run([(0.0, s) for s in slope_cells],
+                     cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"])
+    slopes = [sharing.loglog_slope(res.dist_sq) for res in slope_runs]
     out.write_csv("slopes.csv", "seed,loglog_slope",
                   [(s, sl) for s, sl in enumerate(slopes)])
 
-    def run_plateau(cell):
-        sig, s = cell
-        stream = RngStream(cfg["seed"], _sigma_stream(sig, s))
-        res = sharing.noise_floor_run(
-            cfg["n"], cfg["d"], cfg["m"], cfg["gamma"], sig,
-            cfg["a"], cfg["b"], cfg["iters"], stream,
-            w_init_mean=cfg["w_init_mean"], w_init_std=cfg["w_init_std"],
-            input_mean=cfg["input_mean"], input_std=cfg["input_std"])
-        rows = [(i, float(v)) for i, v in enumerate(res.dist_sq)]
-        out.write_csv(_sigma_traj_name(sig, s), "iteration,dist_sq", rows)
-        return res.plateau
+    def run_plateaus(sig):
+        cells = [(sig, s) for s in range(cfg["seeds"])]
+        return [res.plateau for res in run(cells, cfg["a"], cfg["b"], cfg["iters"])]
 
-    plateaus = _run_cells(plateau_cells, run_plateau, cfg["jobs"])
-    by_sigma = {}
-    for (sig, s), plat in zip(plateau_cells, plateaus):
-        by_sigma.setdefault(sig, []).append(plat)
+    plateaus = _run_cells(cfg["sigma"], run_plateaus, cfg["jobs"])
     summary = []
     report = [f"slope range over seeds: [{min(slopes):.3f}, {max(slopes):.3f}]"]
     prev = None
-    for sig in cfg["sigma"]:
-        mean_plat = float(np.mean(by_sigma[sig]))
+    for sig, plats in zip(cfg["sigma"], plateaus):
+        mean_plat = float(np.mean(plats))
         ratio = "" if prev is None else f"{mean_plat / prev:.6g}"
         summary.append((f"{sig:g}", f"{mean_plat:.12g}", ratio))
         if prev is not None:

@@ -4,6 +4,8 @@ Every numerical failure mode maps onto one of these so the CLI can turn
 them into stable exit codes.
 """
 
+from typing import Optional
+
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes; message carries both."""
@@ -24,11 +26,13 @@ class DivergenceError(ArithmeticError):
     """Non-finite values appeared during iteration.
 
     `context` is free-form (elapsed simulated time, epoch/batch, ...) so
-    the caller can report where the run blew up.
+    the caller can report where the run blew up. `cell` is the index of
+    the failing cell when a stacked run of several cells diverged.
     """
 
-    def __init__(self, message: str, context: str = ""):
+    def __init__(self, message: str, context: str = "", cell: Optional[int] = None):
         self.context = context
+        self.cell = cell
         super().__init__(f"{message} [{context}]" if context else message)
 
 

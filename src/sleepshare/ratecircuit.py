@@ -159,7 +159,7 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     if mode == "discrete":
-        res = sleep_run(bundle, config, gen)
+        res = sleep_run([bundle], [config], [gen])[0]
         return RateSleepResult(trajectory=res.trajectory, initial=res.initial,
                                bundle=res.bundle, frac_nonneg=1.0)
     if mode != "ode":

@@ -11,6 +11,16 @@ c = alpha / (1 + alpha) for finite lateral inhibition strength alpha
 bounds how far the group can equalize; the best attainable diagnostic is
 neg_log_snr_floor(gamma).
 
+The runner `sleep_run` takes S cells (bundle, config, random stream)
+whose bundles share one shape and whose configs differ at most in gamma,
+and advances them as one (S, N, D) stack: each iteration draws every
+cell's input from that cell's own stream, makes one `sleep_step` on the
+stack with gamma as an (S, 1, 1) array, and one `neg_log_snr` of the
+stack. Every reduction runs along one cell's own axis in the order a
+single (N, D) cell uses, so each cell's trajectory is bitwise what it is
+when run alone; one cell is the S = 1 case. `noise_floor_run` stacks its
+per-stream cells the same way.
+
 Also here: closed-form fixed points of the averaged dynamics (unbiased
 and finite-alpha), deterministic full-batch descent used to cross-check
 them, instant grid-mean projection for layers, patch-stack sharing, and
@@ -22,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,33 +79,64 @@ NEG_LOG_SNR_ZERO_MEAN = 1000.0
 # diagnostics
 
 
-def snr(w: np.ndarray) -> float:
-    """Mean over coordinates of (across-neuron mean)^2 / across-neuron
-    variance. Returns inf when the rows agree exactly."""
+def _as_stack(w) -> Tuple[np.ndarray, bool]:
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"snr expects (N, D), got {w.shape}")
-    means = w.mean(axis=0)
-    variances = w.var(axis=0)  # population variance
+    if w.ndim not in (2, 3):
+        raise ShapeError(f"expected (N, D) or a stack (S, N, D), got {w.shape}")
+    return (w, True) if w.ndim == 3 else (w[None], False)
+
+
+def _snr_stack(w: np.ndarray) -> np.ndarray:
+    """snr of each (N, D) cell of an (S, N, D) stack.
+
+    One column sum gives both the mean and the variance. These are the
+    reductions np.mean and np.var make (sum, then divide by the count),
+    so each cell's value is bitwise the one it has on its own.
+    """
+    n, d = w.shape[1], w.shape[2]
+    means = np.add.reduce(w, axis=1, keepdims=True)
+    means /= n
+    sq = w - means
+    np.multiply(sq, sq, out=sq)
+    variances = np.add.reduce(sq, axis=1)  # population variance
+    variances /= n
+    means = means[:, 0]
     zero = variances == 0.0
-    if np.all(zero):
-        return math.inf
-    if np.any(zero):
-        if np.any(means[zero] != 0.0):
-            return math.inf
-        # 0/0 coordinates carry no signal either way; drop them
-        means = means[~zero]
-        variances = variances[~zero]
-    return float(np.mean(means * means / variances))
+    if zero.any():
+        return _snr_flat_columns(means, variances, zero)
+    ratio = means * means
+    ratio /= variances
+    return np.add.reduce(ratio, axis=1) / d
 
 
-def neg_log_snr(w: np.ndarray) -> float:
-    s = snr(w)
-    if math.isinf(s):
-        return NEG_LOG_SNR_CONVERGED
-    if s <= 0.0:
-        return NEG_LOG_SNR_ZERO_MEAN
-    return -math.log(s)
+def _snr_flat_columns(means, variances, zero) -> np.ndarray:
+    out = np.empty(len(means))
+    for i, (m, v, z) in enumerate(zip(means, variances, zero)):
+        if z.all() or np.any(m[z] != 0.0):
+            out[i] = math.inf
+        else:
+            # 0/0 coordinates carry no signal either way; drop them
+            m, v = m[~z], v[~z]
+            out[i] = np.mean(m * m / v)
+    return out
+
+
+def snr(w: np.ndarray):
+    """Mean over coordinates of (across-neuron mean)^2 / across-neuron
+    variance: a float for one (N, D) group, one value per cell for an
+    (S, N, D) stack. inf where the rows agree exactly."""
+    stack, many = _as_stack(w)
+    vals = _snr_stack(stack)
+    return vals if many else float(vals[0])
+
+
+def neg_log_snr(w: np.ndarray):
+    """-log snr with finite sentinels, per cell for an (S, N, D) stack."""
+    stack, many = _as_stack(w)
+    vals = [NEG_LOG_SNR_CONVERGED if math.isinf(s) else
+            NEG_LOG_SNR_ZERO_MEAN if s <= 0.0 else -math.log(s)
+            for s in _snr_stack(stack).tolist()]
+    return np.array(vals) if many else vals[0]
 
 
 def neg_log_snr_floor(gamma: float) -> float:
@@ -121,7 +162,8 @@ def bias_coefficient(alpha: float) -> float:
 
 @dataclass
 class WeightBundle:
-    """N weight vectors plus the frozen snapshot they are anchored to."""
+    """N weight vectors plus the frozen snapshot they are anchored to; or,
+    with (S, N, D) arrays, a stack of S such bundles."""
 
     weights: np.ndarray
     init: np.ndarray
@@ -129,9 +171,10 @@ class WeightBundle:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.init = np.asarray(self.init, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape != self.init.shape:
+        if self.weights.ndim not in (2, 3) or self.weights.shape != self.init.shape:
             raise ShapeError(
-                f"bundle needs matching (N, D) arrays, got {self.weights.shape} and {self.init.shape}")
+                f"bundle needs matching (N, D) or (S, N, D) arrays, "
+                f"got {self.weights.shape} and {self.init.shape}")
 
     @classmethod
     def from_rng(cls, rng, n: int, d: int, mean: float = 1.0, std: float = 1.0) -> "WeightBundle":
@@ -141,15 +184,15 @@ class WeightBundle:
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def mean_init(self) -> np.ndarray:
-        return self.init.mean(axis=0)
+        return self.init.mean(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -160,21 +203,25 @@ class Schedule:
     "inverse_sqrt" (a / sqrt(1 + k / b), zero before warmup).
     """
 
+    KINDS = ("constant", "inverse_time", "inverse_sqrt")
+
     kind: str
     a: float
     b: float = 1.0
     warmup: int = 0
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
 
     def __call__(self, k: int) -> float:
         if self.kind == "constant":
             return self.a
         if self.kind == "inverse_time":
             return self.a / (self.b + k)
-        if self.kind == "inverse_sqrt":
-            if k < self.warmup:
-                return 0.0
-            return self.a / math.sqrt(1.0 + k / self.b)
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if k < self.warmup:
+            return 0.0
+        return self.a / math.sqrt(1.0 + k / self.b)
 
 
 @dataclass
@@ -204,55 +251,102 @@ class SleepResult:
 # dynamics
 
 
-def sleep_step(bundle: WeightBundle, x, gamma: float, eta: float,
+def sleep_step(bundle: WeightBundle, x, gamma, eta: float,
                alpha: float = math.inf, momentum: float = 0.0,
                velocity: Optional[np.ndarray] = None) -> np.ndarray:
     """One update of every neuron in the bundle, in place.
 
-    x is either one shared input (D,) or per-neuron inputs (N, D).
-    Returns the updated velocity (heavy-ball state); pass it back in to
-    continue a momentum run.
+    For an (N, D) bundle, x is one shared input (D,) or per-neuron inputs
+    (N, D). For an (S, N, D) stack, x is one shared input per cell (S, D)
+    or per-neuron inputs (S, N, D), and gamma may differ per cell as an
+    (S, 1, 1) array. Returns the heavy-ball velocity, updated in place
+    when one is passed in; pass it back to continue a momentum run.
     """
-    w = bundle.weights
+    w, w0 = bundle.weights, bundle.init
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, w.shape)
-    if x.shape != w.shape:
-        raise ShapeError(f"x must be (D,) or {w.shape}, got {x.shape}")
+    if w.ndim == 2:
+        w, w0, x = w[None], w0[None], x[None]
+    if x.ndim == 2:
+        x = x[:, None, :]
+    if x.shape != w.shape and x.shape != (w.shape[0], 1, w.shape[2]):
+        raise ShapeError(f"x must be one input or one per neuron for a bundle of shape "
+                         f"{bundle.weights.shape}, got {x.shape}")
+    n = w.shape[1]
     c = bias_coefficient(alpha)
-    z = np.einsum("nd,nd->n", w, x)
-    raw = -((z - c * z.mean())[:, None] * x + gamma * (w - bundle.init))
+    z = np.einsum("snd,snd->sn", w, np.broadcast_to(x, w.shape))
+    zbar = np.add.reduce(z, axis=1, keepdims=True)
+    zbar /= n
+    z -= c * zbar
+    # velocity <- momentum * velocity - (dev * x + gamma * (w - w0))
+    pull = w - w0
+    pull *= gamma
+    push = z[:, :, None] * x
+    push += pull
     if velocity is None:
-        velocity = np.zeros_like(w)
-    velocity = momentum * velocity + raw
-    w += eta * velocity
+        velocity = np.zeros_like(bundle.weights)
+    v = velocity if velocity.ndim == 3 else velocity[None]
+    v *= momentum
+    v -= push
+    np.multiply(v, eta, out=push)
+    w += push
     return velocity
 
 
-def sleep_run(bundle: WeightBundle, config: SleepConfig, rng: RngStream) -> SleepResult:
-    """Run the stochastic equalization for config.iterations steps.
+def _check_finite(w: np.ndarray, run: str, iteration: int) -> None:
+    """Raises DivergenceError naming the first cell of the (S, N, D) stack
+    w that holds a non-finite weight."""
+    if not np.isfinite(w).all():
+        cell = int(np.argmin(np.isfinite(w).all(axis=(1, 2))))
+        raise DivergenceError(f"non-finite weights in {run}",
+                              f"cell {cell}, iteration {iteration}", cell=cell)
 
-    Each iteration draws one fresh input; with sigma > 0 every neuron
-    sees its own noisy copy. Records -log snr after every step.
+
+def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
+              rngs: Sequence) -> List[SleepResult]:
+    """Run the stochastic equalization of S same-shape cells as one
+    (S, N, D) stack, for config.iterations steps.
+
+    Cell i has its own bundle, config and random stream; the configs may
+    differ only in gamma. Each iteration draws every cell's input from
+    that cell's own stream, in the order a run of the cell alone would;
+    with sigma > 0 every neuron then sees its own noisy copy. Records
+    -log snr after every step. Each cell's trajectory and weights are
+    bitwise those of the cell run on its own (S = 1), and the bundles'
+    weights are updated in place.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n, d = bundle.n, bundle.d
+    if not len(bundles) == len(configs) == len(rngs) > 0:
+        raise ValueError("sleep_run needs one config and one rng per bundle")
+    config = configs[0]
+    if any(replace(c, gamma=config.gamma) != config for c in configs):
+        raise ValueError("stacked sleep cells may differ only in gamma")
+    gens = [r.generator() if isinstance(r, RngStream) else r for r in rngs]
+    stack = WeightBundle(np.stack([b.weights for b in bundles]),
+                         np.stack([b.init for b in bundles]))
+    s, n, d = stack.weights.shape
+    gamma = np.array([c.gamma for c in configs])[:, None, None]
+    noisy = config.sigma > 0
+    x = np.empty((s, n, d) if noisy else (s, d))
     velocity = None
-    traj = np.empty(config.iterations)
-    initial = neg_log_snr(bundle.weights)
+    traj = np.empty((s, config.iterations))
+    initial = neg_log_snr(stack.weights)
     for k in range(config.iterations):
-        x = gen.normal(config.input_mean, config.input_std, size=d)
-        if config.sigma > 0:
-            rows = x[None, :] + config.sigma * gen.standard_normal((n, d))
-        else:
-            rows = x
-        velocity = sleep_step(bundle, rows, config.gamma, config.schedule(k),
+        for i, gen in enumerate(gens):
+            xi = gen.normal(config.input_mean, config.input_std, size=d)
+            if noisy:
+                gen.standard_normal(out=x[i])
+                x[i] *= config.sigma
+                x[i] += xi
+            else:
+                x[i] = xi
+        velocity = sleep_step(stack, x, gamma, config.schedule(k),
                               alpha=config.alpha, momentum=config.momentum,
                               velocity=velocity)
-        if not np.all(np.isfinite(bundle.weights)):
-            raise DivergenceError("non-finite weights in sleep run", f"iteration {k}")
-        traj[k] = neg_log_snr(bundle.weights)
-    return SleepResult(trajectory=traj, initial=initial, bundle=bundle)
+        _check_finite(stack.weights, "sleep run", k)
+        traj[:, k] = neg_log_snr(stack.weights)
+    for bundle, w in zip(bundles, stack.weights):
+        bundle.weights[...] = w
+    return [SleepResult(trajectory=t, initial=float(i0), bundle=b)
+            for t, i0, b in zip(traj, initial, bundles)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +470,6 @@ def kernel_grid_neg_log_snr(kernels: np.ndarray, k: int) -> float:
     return float(np.mean(vals))
 
 
-def layer_neg_log_snr(layer: LocalLayer) -> float:
-    return kernel_grid_neg_log_snr(layer.weights, layer.kernel)
-
-
 def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream,
                     partition: Optional[GridPartition] = None):
     """Equalize a LocalLayer's kernels by presenting k-periodic patterns.
@@ -488,39 +578,47 @@ class NoiseFloorResult:
 
 
 def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
-                    a: float, b: float, iterations: int, rng: RngStream,
+                    a: float, b: float, iterations: int, rngs: Sequence[RngStream],
                     w_init_mean: float = 0.0, w_init_std: float = 1.0,
-                    input_mean: float = 1.0, input_std: float = 1.0) -> NoiseFloorResult:
+                    input_mean: float = 1.0, input_std: float = 1.0) -> List[NoiseFloorResult]:
     """Stochastic full-batch equalization against a frozen input set,
     tracking ||W_k - W*||_F^2 with eta_k = a / (b + k).
 
-    The base gradient is deterministic (all M inputs each step), so with
-    sigma = 0 the distance contracts at the 1/k envelope of the schedule;
-    sigma > 0 injects fresh per-neuron-per-input noise whose variance
-    sets the plateau. W* is the noiseless fixed point.
+    One cell per stream, all run as one (S, N, D) stack; each cell draws
+    its weights, inputs and noise from its own stream, so its result is
+    bitwise that of the cell run on its own. The base gradient is
+    deterministic (all M inputs each step), so with sigma = 0 the
+    distance contracts at the 1/k envelope of the schedule; sigma > 0
+    injects fresh per-neuron-per-input noise whose variance sets the
+    plateau. W* is the noiseless fixed point.
     """
-    gen = rng.generator()
-    w_init = gen.normal(w_init_mean, w_init_std, size=(n, d))
-    x = gen.normal(input_mean, input_std, size=(m, d))
-    w_star = fixed_point(w_init, x, gamma)
+    gens = [r.generator() for r in rngs]
+    w_init, x = [], []
+    for gen in gens:
+        w_init.append(gen.normal(w_init_mean, w_init_std, size=(n, d)))
+        x.append(gen.normal(input_mean, input_std, size=(m, d)))
+    w_star = np.stack([fixed_point(w0, xs, gamma) for w0, xs in zip(w_init, x)])
+    w_init, x = np.stack(w_init), np.stack(x)
+    x_t = x.transpose(0, 2, 1)
     w = w_init.copy()
-    dist_sq = np.empty(iterations)
+    dist_sq = np.empty((len(gens), iterations))
     for k in range(iterations):
         eta = a / (b + k)
         if sigma > 0:
-            xi = x[None, :, :] + sigma * gen.standard_normal((n, m, d))
-            z = np.einsum("nd,nmd->nm", w, xi)
-            upd = np.einsum("nm,nmd->nd", z - z.mean(axis=0), xi) / m
+            xi = np.stack([x[i][None, :, :] + sigma * gen.standard_normal((n, m, d))
+                           for i, gen in enumerate(gens)])
+            z = np.einsum("snd,snmd->snm", w, xi)
+            upd = np.einsum("snm,snmd->snd", z - z.mean(axis=1, keepdims=True), xi) / m
         else:
-            z = w @ x.T
-            upd = (z - z.mean(axis=0)) @ x / m
+            z = w @ x_t
+            upd = (z - z.mean(axis=1, keepdims=True)) @ x / m
         w -= eta * (upd + gamma * (w - w_init))
-        if not np.all(np.isfinite(w)):
-            raise DivergenceError("non-finite weights in noise-floor run", f"iteration {k}")
+        _check_finite(w, "noise-floor run", k)
         diff = w - w_star
-        dist_sq[k] = float(np.sum(diff * diff))
+        dist_sq[:, k] = np.add.reduce((diff * diff).reshape(len(gens), -1), axis=1)
     tail = max(1, iterations // 5)
-    return NoiseFloorResult(dist_sq=dist_sq, w_star=w_star, plateau=float(dist_sq[-tail:].mean()))
+    return [NoiseFloorResult(dist_sq=dsq, w_star=ws, plateau=float(dsq[-tail:].mean()))
+            for dsq, ws in zip(dist_sq, w_star)]
 
 
 def loglog_slope(dist_sq: np.ndarray, lo_frac: float = 0.1, hi_frac: float = 0.5) -> float:

@@ -212,11 +212,6 @@ class GridPartition:
     def one_dimensional(self) -> bool:
         return self.height == 1
 
-    def grid_index_of(self, y: int, x: int) -> int:
-        if self.one_dimensional:
-            return x % self.k
-        return (y % self.k) * self.k + (x % self.k)
-
     def positions(self, grid_index: int) -> np.ndarray:
         """Grid members: (P, 2) array of (y, x) rows, or (P,) columns in 1-D."""
         return np.array(self.grids[grid_index])

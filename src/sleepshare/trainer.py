@@ -24,9 +24,14 @@ from .topology import LocalLayer, kaiming_std, padded_windows
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
     "shape_masks", "augment_translate", "build_batch",
-    "forward_backward", "AdamW", "SgdMomentum", "optimizer_step",
+    "forward_backward", "AdamW", "SgdMomentum", "OPTIMIZERS", "SHARE_MODES",
     "train", "run_experiment", "read_idx", "load_idx_pair",
 ]
+
+OPTIMIZERS = ("adamw", "sgd")
+# "instant" projects onto the grid means; "dynamic" runs the sleep
+# dynamics on the layer (the slow path through the actual mechanism)
+SHARE_MODES = ("instant", "dynamic")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +152,7 @@ def _assemble(dataset: Dataset, idx: np.ndarray, reps: int, pad: int,
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adamw"          # "adamw" or "sgd"
+    optimizer: str = "adamw"          # one of OPTIMIZERS
     lr: float = 3e-3
     weight_decay: float = 1e-4
     beta1: float = 0.9
@@ -160,12 +165,14 @@ class TrainConfig:
     pad: int = 0
     ws_every_n: int = 0               # 0 = never
     milestones: Optional[Tuple[int, int]] = None   # lr /4 twice; default mid and 3/4
-    share_mode: str = "instant"       # or "dynamic" (slow path through the actual dynamics)
+    share_mode: str = "instant"       # one of SHARE_MODES
     share_iters: int = 180
-    val_fraction: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.share_mode not in SHARE_MODES:
+            raise ValueError(f"unknown share mode {self.share_mode!r}")
         if self.reps < 1 or self.batch_size % self.reps != 0:
             raise ValueError("reps must divide batch size")
         if self.ws_every_n < 0:
@@ -385,10 +392,6 @@ class SgdMomentum:
         self.vel[name] = share_kernel_grid_means(self.vel[name], k)
 
 
-def optimizer_step(optimizer, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]):
-    return optimizer.step(params, grads)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -437,10 +440,8 @@ def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
     if config.optimizer == "adamw":
         opt = AdamW(stack.params, config.lr, config.weight_decay,
                     config.beta1, config.beta2, config.eps)
-    elif config.optimizer == "sgd":
-        opt = SgdMomentum(stack.params, config.lr, config.sgd_momentum)
     else:
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+        opt = SgdMomentum(stack.params, config.lr, config.sgd_momentum)
     history = TrainHistory()
     milestones = config.resolved_milestones()
     n = len(data)
@@ -527,7 +528,6 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
         pad=pad if arm == "lc-reps" else 0,
         ws_every_n=ws_every if arm == "lc-ws" else 0,
         milestones=milestones, share_mode=share_mode, share_iters=share_iters,
-        seed=seed,
     )
     stack = LayerStack(kind, gen, image=image, channels=channels, kernel=kernel,
                        n_classes=n_classes, grid_tied=(arm == "lc-ws"))

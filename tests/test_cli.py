@@ -153,6 +153,15 @@ def test_sweep_rejects_nonpositive_gamma(tmp_path, sub):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub,flag", [("sleep-ideal", "--schedule"),
+                                      ("train", "--optimizer"),
+                                      ("train", "--share-mode")])
+def test_rejects_unknown_choice(tmp_path, sub, flag):
+    out = tmp_path / "o"
+    assert run(sub, flag, "foo", "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--momentum", "--sigma"])
 def test_ode_rejects_discrete_only_flags(tmp_path, flag):
     out = tmp_path / "o"
@@ -270,13 +279,18 @@ def test_train_rejects_unknown_arm(tmp_path):
                "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
 
 
-def test_divergence_exit_code_writes_manifest(tmp_path):
+def test_divergence_exit_code_writes_manifest(tmp_path, capsys):
     out = tmp_path / "o"
-    # constant eta 1e6 compounds ~1e7x per step; overflow well before 200
-    assert run("sleep-ideal", "--schedule", "constant", "--eta-a", "1e6",
-               "--k", "3", "--gamma", "1e-2", "--seeds", "1", "--iters", "200",
+    # eta * gamma = 10 makes the decay term flip sign and grow 9x per step
+    # in the gamma=1e4 cells only; the gamma=1e-2 cells of the same stack
+    # stay finite, so the error must name the failing cell
+    assert run("sleep-ideal", "--schedule", "constant", "--eta-a", "1e-3",
+               "--k", "3", "--gamma", "1e-2,1e4", "--seeds", "2", "--iters", "1000",
                "--out", str(out)) == cli.EXIT_DIVERGENCE
     assert (out / "manifest.txt").exists()
+    err = capsys.readouterr().err
+    assert "k=3, gamma=10000, seed=1" in err
+    assert "iteration " in err
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

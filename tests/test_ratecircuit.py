@@ -114,7 +114,7 @@ def test_discrete_mode_matches_ideal_runner():
     b1, g1 = fresh()
     res_rate = ss.rate_sleep_run(b1, make_circuit(), cfg, g1, mode="discrete")
     b2, g2 = fresh()
-    res_ideal = ss.sleep_run(b2, cfg, g2)
+    [res_ideal] = ss.sleep_run([b2], [cfg], [g2])
     assert np.array_equal(res_rate.trajectory, res_ideal.trajectory)
     assert np.array_equal(b1.weights, b2.weights)
     assert res_rate.frac_nonneg == 1.0

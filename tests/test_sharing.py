@@ -79,7 +79,7 @@ def test_sleep_run_reaches_floor_band():
     cfg = ss.SleepConfig(gamma=1e-2,
                          schedule=ss.Schedule("inverse_time", 0.5, 1000.0),
                          iterations=2000, momentum=0.95)
-    res = ss.sleep_run(bundle, cfg, gen)
+    [res] = ss.sleep_run([bundle], [cfg], [gen])
     assert abs(res.terminal - ss.neg_log_snr_floor(1e-2)) < 1.0
     assert res.initial > res.terminal
 
@@ -90,7 +90,7 @@ def test_sleep_run_divergence_error():
     cfg = ss.SleepConfig(gamma=1e-2, schedule=ss.Schedule("constant", 50.0),
                          iterations=200)
     with pytest.raises(DivergenceError):
-        ss.sleep_run(bundle, cfg, gen)
+        ss.sleep_run([bundle], [cfg], [gen])
 
 
 def test_biased_terminal_worse_than_unbiased():
@@ -100,7 +100,7 @@ def test_biased_terminal_worse_than_unbiased():
         cfg = ss.SleepConfig(gamma=1e-3,
                              schedule=ss.Schedule("inverse_time", 0.5, 1000.0),
                              iterations=1500, momentum=0.95, alpha=alpha)
-        return ss.sleep_run(bundle, cfg, gen).terminal
+        return ss.sleep_run([bundle], [cfg], [gen])[0].terminal
 
     assert run(10.0) > run(math.inf)
 
@@ -222,8 +222,8 @@ def test_layer_sleep_run_equalizes():
 
 
 def test_noise_floor_slope_band():
-    res = ss.noise_floor_run(20, 9, 18, 10.0, 0.0, 0.034, 50.0, 3000,
-                             RngStream(0, (11, 0, 0)))
+    [res] = ss.noise_floor_run(20, 9, 18, 10.0, 0.0, 0.034, 50.0, 3000,
+                               [RngStream(0, (11, 0, 0))])
     slope = ss.loglog_slope(res.dist_sq)
     assert -1.3 < slope < -0.7
 
@@ -231,9 +231,9 @@ def test_noise_floor_slope_band():
 def test_noise_floor_plateau_monotone():
     plateaus = []
     for sigma in (0.1, 0.2, 0.4):
-        vals = [ss.noise_floor_run(20, 9, 18, 10.0, sigma, 16.0, 200.0, 300,
-                                   RngStream(0, (11, s, int(sigma * 10)))).plateau
-                for s in range(3)]
+        vals = [r.plateau for r in ss.noise_floor_run(
+            20, 9, 18, 10.0, sigma, 16.0, 200.0, 300,
+            [RngStream(0, (11, s, int(sigma * 10))) for s in range(3)])]
         plateaus.append(np.mean(vals))
     assert plateaus[0] < plateaus[1] < plateaus[2]
 
