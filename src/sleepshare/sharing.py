@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError
 from .mathcore import RngStream, solve_spd
-from .topology import GridPartition, LocalLayer, make_partition, generate_pattern, padded_windows
+from .topology import LocalLayer, make_partition, generate_pattern, padded_windows
 
 __all__ = [
     "NEG_LOG_SNR_CONVERGED",
@@ -329,20 +329,22 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
     velocity = None
     traj = np.empty((s, config.iterations))
     initial = neg_log_snr(stack.weights)
-    for k in range(config.iterations):
-        for i, gen in enumerate(gens):
-            xi = gen.normal(config.input_mean, config.input_std, size=d)
-            if noisy:
-                gen.standard_normal(out=x[i])
-                x[i] *= config.sigma
-                x[i] += xi
-            else:
-                x[i] = xi
-        velocity = sleep_step(stack, x, gamma, config.schedule(k),
-                              alpha=config.alpha, momentum=config.momentum,
-                              velocity=velocity)
-        _check_finite(stack.weights, "sleep run", k)
-        traj[:, k] = neg_log_snr(stack.weights)
+    # DivergenceError reports a blow-up; numpy's warnings would bury it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.iterations):
+            for i, gen in enumerate(gens):
+                xi = gen.normal(config.input_mean, config.input_std, size=d)
+                if noisy:
+                    gen.standard_normal(out=x[i])
+                    x[i] *= config.sigma
+                    x[i] += xi
+                else:
+                    x[i] = xi
+            velocity = sleep_step(stack, x, gamma, config.schedule(k),
+                                  alpha=config.alpha, momentum=config.momentum,
+                                  velocity=velocity)
+            _check_finite(stack.weights, "sleep run", k)
+            traj[:, k] = neg_log_snr(stack.weights)
     for bundle, w in zip(bundles, stack.weights):
         bundle.weights[...] = w
     return [SleepResult(trajectory=t, initial=float(i0), bundle=b)
@@ -402,7 +404,9 @@ def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
                        alpha: float = math.inf, eta: Optional[float] = None,
                        tol: float = 1e-13, max_iters: int = 200_000) -> np.ndarray:
     """Deterministic descent of the averaged objective over a fixed input
-    set; converges to the corresponding closed-form fixed point."""
+    set; converges to the corresponding closed-form fixed point. w_init is
+    one (N, D) group or an (S, N, D) stack of groups, all driven by the
+    same inputs (the stop test then covers the whole stack)."""
     w = np.asarray(w_init, dtype=np.float64).copy()
     w0 = w.copy()
     cov = _empirical_cov(inputs)
@@ -411,7 +415,7 @@ def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
         eta = descent_step_cap(inputs, gamma)
     scale = max(1.0, float(np.abs(w).max()))
     for _ in range(max_iters):
-        grad = (w - c * w.mean(axis=0)) @ cov + gamma * (w - w0)
+        grad = (w - c * w.mean(axis=-2, keepdims=True)) @ cov + gamma * (w - w0)
         w -= eta * grad
         if np.abs(grad).max() * eta < tol * scale:
             break
@@ -449,11 +453,10 @@ def share_kernel_grid_means(kernels: np.ndarray, k: int,
     return out
 
 
-def instant_share(layer: LocalLayer, partition: Optional[GridPartition] = None) -> LocalLayer:
+def instant_share(layer: LocalLayer) -> LocalLayer:
     """Set every kernel to its grid mean, in place. Idempotent, and the
     per-grid total weight mean is preserved exactly."""
-    k = partition.k if partition is not None else layer.kernel
-    layer.weights = share_kernel_grid_means(layer.weights, k)
+    layer.weights = share_kernel_grid_means(layer.weights, layer.kernel)
     return layer
 
 
@@ -470,63 +473,53 @@ def kernel_grid_neg_log_snr(kernels: np.ndarray, k: int) -> float:
     return float(np.mean(vals))
 
 
-def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream,
-                    partition: Optional[GridPartition] = None):
-    """Equalize a LocalLayer's kernels by presenting k-periodic patterns.
+def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
+    """Equalize a 2-D LocalLayer's kernels by presenting k-periodic patterns.
 
     Iteration t activates input grid (t mod k^2); every output position
     in one output grid then sees identical receptive content, so each
-    (output grid, out channel) behaves as one bundle. Receptive fields
-    are taken with circular padding, where that equality is exact.
+    output grid's kernels form one (out, P, C_in*k*k) bundle: P positions
+    per out channel, all driven by that content. Receptive fields are
+    taken with circular padding, where that equality is exact. The layer's
+    weights are written back once, at the end.
     Returns rows (iteration, grid_index, neg_log_snr) for all grids.
     """
-    k = layer.kernel
-    if partition is None:
-        partition = make_partition(k, layer.height, layer.width)
+    if layer.height == 1:
+        raise ValueError("layer_sleep_run needs a 2-D layer (height > 1), got height 1")
+    k, o = layer.kernel, layer.out_channels
+    partition = make_partition(k, layer.height, layer.width)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n_grids = partition.count
-    # representative position of each output grid: its first member
-    reps = [tuple(partition.positions(g)[0]) for g in range(n_grids)]
-    grid_pos = [partition.positions(g) for g in range(n_grids)]
-    velocities: List[Optional[np.ndarray]] = [None] * n_grids
-    init = layer.weights.copy()
+    grids = [partition.positions(g) for g in range(partition.count)]
+    bundles = []
+    for pos in grids:
+        w = layer.weights[:, :, pos[:, 0], pos[:, 1]].transpose(0, 2, 1, 3, 4)
+        w = w.reshape(o, len(pos), -1)
+        bundles.append(WeightBundle(w, w.copy()))
+    velocities: List[Optional[np.ndarray]] = [None] * len(grids)
     rows = []
-    for t in range(config.iterations):
-        g_in = t % n_grids
-        planes = [
-            generate_pattern(partition, g_in, rng=gen).values * config.input_std + config.input_mean
-            for _ in range(layer.in_channels)
-        ]
-        x_img = np.stack(planes)
-        win = padded_windows(x_img, k, k // 2, "circular")  # (C, H, W, k, k)
-        eta = config.schedule(t)
-        for g in range(n_grids):
-            ry, rx = reps[g]
-            x_vec = win[:, ry, rx].reshape(-1)  # (C_in * k * k,)
-            ys, xs = grid_pos[g][:, 0], grid_pos[g][:, 1]
-            # (out, P, C_in*k*k) view of this grid's kernels
-            wg = layer.weights[:, :, ys, xs].transpose(0, 2, 1, 3, 4)
-            o, p = wg.shape[0], wg.shape[1]
-            wg = wg.reshape(o, p, -1)
-            w0 = init[:, :, ys, xs].transpose(0, 2, 1, 3, 4).reshape(o, p, -1)
-            z = wg @ x_vec                       # (out, P)
-            c = bias_coefficient(config.alpha)
-            dev = z - c * z.mean(axis=1, keepdims=True)
-            raw = -(dev[:, :, None] * x_vec[None, None, :] + config.gamma * (wg - w0))
-            if velocities[g] is None:
-                velocities[g] = np.zeros_like(raw)
-            velocities[g] = config.momentum * velocities[g] + raw
-            wg = wg + eta * velocities[g]
-            back = wg.reshape(o, p, layer.in_channels, k, k).transpose(0, 2, 1, 3, 4)
-            layer.weights[:, :, ys, xs] = back
-        if not np.all(np.isfinite(layer.weights)):
-            raise DivergenceError("non-finite weights in layer sleep run", f"iteration {t}")
-        for g in range(n_grids):
-            ys, xs = grid_pos[g][:, 0], grid_pos[g][:, 1]
-            sel = layer.weights[:, :, ys, xs]  # (o, c, P, k, k)
-            o, ci, p = sel.shape[:3]
-            flat = sel.transpose(2, 0, 1, 3, 4).reshape(p, -1)
-            rows.append((t, g, neg_log_snr(flat)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.iterations):
+            planes = [
+                generate_pattern(partition, t % len(grids), rng=gen).values
+                * config.input_std + config.input_mean
+                for _ in range(layer.in_channels)
+            ]
+            win = padded_windows(np.stack(planes), k, k // 2, "circular")  # (C, H, W, k, k)
+            eta = config.schedule(t)
+            for g, (pos, bundle) in enumerate(zip(grids, bundles)):
+                # the grid's shared receptive content, at its first member
+                x = win[:, pos[0, 0], pos[0, 1]].reshape(-1)
+                velocities[g] = sleep_step(bundle, np.broadcast_to(x, (o, bundle.d)),
+                                           config.gamma, eta, alpha=config.alpha,
+                                           momentum=config.momentum, velocity=velocities[g])
+            if not all(np.isfinite(b.weights).all() for b in bundles):
+                raise DivergenceError("non-finite weights in layer sleep run", f"iteration {t}")
+            for g, b in enumerate(bundles):
+                # one group per grid: rows are positions, all out channels' kernels the features
+                rows.append((t, g, neg_log_snr(b.weights.transpose(1, 0, 2).reshape(b.n, -1))))
+    for pos, bundle in zip(grids, bundles):
+        back = bundle.weights.reshape(o, len(pos), layer.in_channels, k, k)
+        layer.weights[:, :, pos[:, 0], pos[:, 1]] = back.transpose(0, 2, 1, 3, 4)
     return rows
 
 
@@ -544,26 +537,15 @@ def patch_share(stack: np.ndarray, gamma: float, rng: Optional[RngStream] = None
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise ShapeError(f"patch stack must be (P, D, K), got {stack.shape}")
-    p, d, ncol = stack.shape
+    d = stack.shape[1]
     if inputs is None:
         if rng is None:
             raise ValueError("patch_share: need inputs or rng")
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         inputs = gen.standard_normal((max(4 * d, 32), d))
-    cov = _empirical_cov(inputs)
-    if eta is None:
-        lam = float(np.linalg.eigvalsh(cov)[-1])
-        eta = 1.0 / (lam + gamma)
-    w = stack.copy()
-    w0 = stack.copy()
-    scale = max(1.0, float(np.abs(w).max()))
-    for _ in range(max_iters):
-        centered = w - w.mean(axis=0, keepdims=True)
-        grad = np.einsum("de,pek->pdk", cov, centered) + gamma * (w - w0)
-        w -= eta * grad
-        if np.abs(grad).max() * eta < tol * scale:
-            break
-    return w
+    w = full_batch_descent(stack.transpose(2, 0, 1), inputs, gamma, eta=eta,
+                           tol=tol, max_iters=max_iters)
+    return w.transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ Weight layouts
     per output position.
     ConvLayer.weights: (out_ch, in_ch, ky, kx), one kernel everywhere.
 
-Both forwards use the cross-correlation convention (no kernel flip) and
+One forward, `local_forward`, serves both: a conv kernel runs as the LC
+layer tied to it (its per-position copy, `tile_kernel`), so a conv layer
+and the tied LC layer agree bit for bit, here and in the trainer, which
+calls the same forward. Both use the cross-correlation convention (no kernel flip) and
 same-shape output. Padding is zero-fill by default; "circular" padding
 is available because cyclic shift equivariance and the equal-input
 pattern property are exact only without a zero boundary.
@@ -28,8 +31,10 @@ __all__ = [
     "ConvLayer",
     "GridPartition",
     "RepeatingPattern",
+    "local_forward",
     "lc_forward",
     "conv_forward",
+    "tile_kernel",
     "tie_lc_to_conv",
     "make_partition",
     "generate_pattern",
@@ -145,47 +150,51 @@ def _check_input(layer, x) -> np.ndarray:
     return x
 
 
-def _contract_windows(win: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # explicit product + fixed-axis reduction in a forced C layout: both
-    # layer kinds route through this with identically shaped operands, so
-    # a tied LocalLayer and a ConvLayer agree bit for bit, not just to
-    # rounding (layout would otherwise steer the reduction order)
-    prod = np.multiply(weights, win[None], order="C")
-    return prod.sum(axis=(1, 4, 5))
+def tile_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The contiguous (out, in, height, width, k, k) per-position copy of
+    a shared (out, in, k, k) kernel: the LC layer tied to it."""
+    o, c, k, _ = kernel.shape
+    return np.broadcast_to(kernel[:, :, None, None], (o, c, height, width, k, k)).copy()
+
+
+def local_forward(x: np.ndarray, weights: np.ndarray, pad: int,
+                  mode: PaddingMode = "zeros") -> Tuple[np.ndarray, np.ndarray]:
+    """Batched forward of a layer over inputs x (B, C, H, W): each output
+    position applies its own kernel to its receptive field. weights are
+    per-position (O, C, H', W', k, k) or one shared (O, C, k, k) kernel,
+    which runs as its tiled copy, so a conv layer and the LC layer tied to
+    its kernel take the same contraction on the same operands. Returns
+    the output (B, O, H', W') and the windows (B, C, H', W', k, k)."""
+    win = padded_windows(x, weights.shape[-1], pad, mode)
+    if weights.ndim == 4:
+        weights = tile_kernel(weights, win.shape[2], win.shape[3])
+    return np.einsum("bchwij,ochwij->bohw", win, weights, optimize=True), win
 
 
 def lc_forward(layer: LocalLayer, x: np.ndarray) -> np.ndarray:
-    """Forward pass; output (out_ch, H, W), each position applying its
-    own kernel to its receptive field."""
+    """Forward pass of one image; output (out_ch, H, W), each position
+    applying its own kernel to its receptive field."""
     x = _check_input(layer, x)
-    win = padded_windows(x, layer.kernel, layer.pad, layer.padding_mode)
-    return _contract_windows(win, layer.weights)
+    return local_forward(x[None], layer.weights, layer.pad, layer.padding_mode)[0][0]
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    x = _check_input(layer, x)
-    win = padded_windows(x, layer.kernel, layer.pad, layer.padding_mode)
-    o, c, k = layer.out_channels, layer.in_channels, layer.kernel
-    wview = np.broadcast_to(layer.weights[:, :, None, None, :, :],
-                            (o, c, layer.height, layer.width, k, k))
-    return _contract_windows(win, wview)
+    """Forward pass of one image: lc_forward of the tied LC layer."""
+    return lc_forward(layer, x)
 
 
 def tie_lc_to_conv(layer: LocalLayer, kernel: np.ndarray) -> LocalLayer:
     """A copy of the layer with every position's kernel replaced by the
     given shared one. lc_forward of the result equals conv_forward with
-    that kernel (identical summation order)."""
+    that kernel bit for bit (the same contraction on the same operands)."""
     kernel = np.asarray(kernel, dtype=np.float64)
     k = layer.kernel
     expect = (layer.out_channels, layer.in_channels, k, k)
     if kernel.shape != expect:
         raise ShapeError(f"tie_lc_to_conv: kernel must be {expect}, got {kernel.shape}")
-    w = np.broadcast_to(
-        kernel[:, :, None, None, :, :],
-        (layer.out_channels, layer.in_channels, layer.height, layer.width, k, k),
-    ).copy()
     return LocalLayer(
-        layer.in_channels, layer.out_channels, layer.height, layer.width, k, w,
+        layer.in_channels, layer.out_channels, layer.height, layer.width, k,
+        tile_kernel(kernel, layer.height, layer.width),
         pad=layer.pad, padding_mode=layer.padding_mode,
     )
 

@@ -3,8 +3,11 @@ translation-repetition batches and scheduled instant weight sharing.
 
 Stacks are two same-kernel layers (conv or LC) with ReLU, a 2x2 average
 pool between them, global average pooling, and a small linear head.
-Gradients are written out by hand (einsum) so both layer kinds share one
-code path.
+Gradients are written out by hand (einsum). A conv layer runs as the LC
+layer tied to its kernel: both kinds take `topology.local_forward` and
+one backward contraction pair, and a conv kernel's gradient is the tied
+LC gradient summed over positions, so a conv stack and the tied LC stack
+agree bit for bit in loss and gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import (Schedule, SleepConfig, kernel_grid_neg_log_snr,
                       layer_sleep_run, share_kernel_grid_means)
-from .topology import LocalLayer, kaiming_std, padded_windows
+from .topology import LocalLayer, kaiming_std, local_forward, tile_kernel
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
@@ -213,8 +216,8 @@ class LayerStack:
             k1 = gen.normal(0, std, size=(channels, in_channels, k, k))
             k2 = gen.normal(0, std, size=(channels, channels, k, k))
         elif tie_kernels is not None:
-            k1 = self._tile(tie_kernels[0], image)
-            k2 = self._tile(tie_kernels[1], h2)
+            k1 = tile_kernel(tie_kernels[0], image, image)
+            k2 = tile_kernel(tie_kernels[1], h2, h2)
         elif grid_tied:
             # one fresh kernel per grid, replicated across the grid's
             # positions: full Kaiming scale, already in the shared set
@@ -231,11 +234,6 @@ class LayerStack:
         }
 
     @staticmethod
-    def _tile(kernel4: np.ndarray, side: int) -> np.ndarray:
-        o, c, k, _ = kernel4.shape
-        return np.broadcast_to(kernel4[:, :, None, None, :, :], (o, c, side, side, k, k)).copy()
-
-    @staticmethod
     def _grid_tied(gen, std, out_c, in_c, side, k) -> np.ndarray:
         out = np.empty((out_c, in_c, side, side, k, k))
         for gy in range(k):
@@ -249,20 +247,17 @@ class LayerStack:
         return ["layer1", "layer2"] if self.kind == "lc" else []
 
     def _layer_forward(self, x: np.ndarray, kernels: np.ndarray):
-        win = padded_windows(x, self.kernel, self.kernel // 2)
-        if self.kind == "conv":
-            out = np.einsum("bchwij,ocij->bohw", win, kernels, optimize=True)
-        else:
-            out = np.einsum("bchwij,ochwij->bohw", win, kernels, optimize=True)
-        return out, win
+        return local_forward(x, kernels, self.kernel // 2)
 
     def _layer_backward(self, grad_out, win, kernels, x_shape):
-        if self.kind == "conv":
-            dk = np.einsum("bchwij,bohw->ocij", win, grad_out, optimize=True)
-            contrib = np.einsum("bohw,ocij->bchwij", grad_out, kernels, optimize=True)
-        else:
-            dk = np.einsum("bchwij,bohw->ochwij", win, grad_out, optimize=True)
-            contrib = np.einsum("bohw,ochwij->bchwij", grad_out, kernels, optimize=True)
+        shared = kernels.ndim == 4
+        if shared:
+            kernels = tile_kernel(kernels, *grad_out.shape[2:])
+        dk = np.einsum("bchwij,bohw->ochwij", win, grad_out, optimize=True)
+        contrib = np.einsum("bohw,ochwij->bchwij", grad_out, kernels, optimize=True)
+        if shared:
+            # one kernel tied across all positions: its gradient is their sum
+            dk = dk.sum(axis=(2, 3))
         return dk, _scatter_windows(contrib, x_shape, self.kernel // 2)
 
     def forward(self, x: np.ndarray):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import pytest
 
@@ -283,10 +284,13 @@ def test_divergence_exit_code_writes_manifest(tmp_path, capsys):
     out = tmp_path / "o"
     # eta * gamma = 10 makes the decay term flip sign and grow 9x per step
     # in the gamma=1e4 cells only; the gamma=1e-2 cells of the same stack
-    # stay finite, so the error must name the failing cell
-    assert run("sleep-ideal", "--schedule", "constant", "--eta-a", "1e-3",
-               "--k", "3", "--gamma", "1e-2,1e4", "--seeds", "2", "--iters", "1000",
-               "--out", str(out)) == cli.EXIT_DIVERGENCE
+    # stay finite, so the error must name the failing cell; no numpy
+    # RuntimeWarning may bury it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("sleep-ideal", "--schedule", "constant", "--eta-a", "1e-3",
+                   "--k", "3", "--gamma", "1e-2,1e4", "--seeds", "2", "--iters", "1000",
+                   "--out", str(out)) == cli.EXIT_DIVERGENCE
     assert (out / "manifest.txt").exists()
     err = capsys.readouterr().err
     assert "k=3, gamma=10000, seed=1" in err

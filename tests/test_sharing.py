@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,8 +90,11 @@ def test_sleep_run_divergence_error():
     bundle = ss.WeightBundle.from_rng(gen, 10, 9)
     cfg = ss.SleepConfig(gamma=1e-2, schedule=ss.Schedule("constant", 50.0),
                          iterations=200)
-    with pytest.raises(DivergenceError):
-        ss.sleep_run([bundle], [cfg], [gen])
+    # DivergenceError is the run's only report: no numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            ss.sleep_run([bundle], [cfg], [gen])
 
 
 def test_biased_terminal_worse_than_unbiased():
@@ -219,6 +223,26 @@ def test_layer_sleep_run_equalizes():
     assert grids == set(range(9))
     end = ss.kernel_grid_neg_log_snr(layer.weights, 3)
     assert end < start - 3.0
+
+
+def test_layer_sleep_run_divergence_error():
+    layer = ss.LocalLayer.kaiming(np.random.default_rng(14), 1, 2, 6, 6, 3)
+    cfg = ss.SleepConfig(gamma=1e-2, schedule=ss.Schedule("constant", 50.0),
+                         iterations=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="layer sleep run"):
+            ss.layer_sleep_run(layer, cfg, RngStream(0, (15,)))
+
+
+def test_layer_sleep_run_rejects_height_one_layer():
+    layer = ss.LocalLayer.kaiming(np.random.default_rng(14), 1, 2, 1, 9, 3)
+    before = layer.weights.copy()
+    cfg = ss.SleepConfig(gamma=1e-4, schedule=ss.Schedule("constant", 0.1),
+                         iterations=5)
+    with pytest.raises(ValueError, match="2-D"):
+        ss.layer_sleep_run(layer, cfg, RngStream(0, (15,)))
+    assert np.array_equal(layer.weights, before)
 
 
 def test_noise_floor_slope_band():

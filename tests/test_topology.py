@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sleepshare.errors import ShapeError
 from sleepshare.sharing import instant_share
@@ -62,13 +64,18 @@ def test_conv_zero_kernel():
 
 
 @pytest.mark.parametrize("mode", ["zeros", "circular"])
-def test_tied_lc_equals_conv_bitwise(mode):
-    rng = np.random.default_rng(4)
-    lc = LocalLayer.kaiming(np.random.default_rng(5), 3, 2, 9, 9, 3, padding_mode=mode)
-    cv = ConvLayer.kaiming(np.random.default_rng(6), 3, 2, 9, 9, 3, padding_mode=mode)
+@settings(max_examples=40, deadline=None)
+@given(in_ch=st.integers(1, 4), out_ch=st.integers(1, 4), height=st.integers(1, 9),
+       width=st.integers(1, 9), kernel=st.sampled_from([1, 3, 5]), seed=st.integers(0, 2**16))
+@example(in_ch=3, out_ch=2, height=9, width=9, kernel=3, seed=4)
+def test_tied_lc_equals_conv_bitwise(mode, in_ch, out_ch, height, width, kernel, seed):
+    rng = np.random.default_rng(seed)
+    shape = (in_ch, out_ch, height, width, kernel)
+    lc = LocalLayer.kaiming(rng, *shape, padding_mode=mode)
+    cv = ConvLayer.kaiming(rng, *shape, padding_mode=mode)
     tied = tie_lc_to_conv(lc, cv.weights)
     for _ in range(3):
-        x = rng.normal(size=(3, 9, 9))
+        x = rng.normal(size=(in_ch, height, width))
         assert np.array_equal(lc_forward(tied, x), conv_forward(cv, x))
 
 

@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sleepshare as ss
 from sleepshare.mathcore import RngStream
@@ -307,6 +310,19 @@ def test_ws_arm_events_and_sentinel():
     assert len(h.events) == 8
 
 
+def test_dynamic_share_mode_events_and_determinism():
+    # the sleep dynamics run on both layers at every sharing step; unlike
+    # instant sharing they stop short of the converged sentinel
+    h = run_experiment("lc-ws", 0, share_mode="dynamic", share_iters=30, **SMALL)
+    assert [e[1] for e in h.events] == ["layer1", "layer2"] * 4
+    for _, _, pre, post in h.events:
+        assert math.isfinite(pre) and math.isfinite(post)
+        assert ss.NEG_LOG_SNR_CONVERGED < post != pre
+    again = run_experiment("lc-ws", 0, share_mode="dynamic", share_iters=30, **SMALL)
+    assert again.metrics == h.metrics
+    assert again.events == h.events
+
+
 def test_ws_grid_tied_init():
     gen = RngStream(0, (21,)).generator()
     stack = LayerStack("lc", gen, image=8, channels=2, grid_tied=True)
@@ -314,17 +330,33 @@ def test_ws_grid_tied_init():
         assert ss.kernel_grid_neg_log_snr(stack.params[name], 3) == ss.NEG_LOG_SNR_CONVERGED
 
 
-def test_tied_lc_forward_matches_conv():
-    gen = np.random.default_rng(15)
-    conv = LayerStack("conv", gen, image=8, channels=3)
-    tied = LayerStack("lc", np.random.default_rng(0), image=8, channels=3,
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 6), in_ch=st.integers(1, 3), channels=st.integers(1, 4),
+       kernel=st.sampled_from([1, 3, 5]), image=st.sampled_from([2, 4, 6, 8, 10]),
+       seed=st.integers(0, 2**16))
+@example(batch=4, in_ch=1, channels=3, kernel=3, image=8, seed=15)
+def test_tied_lc_forward_matches_conv(batch, in_ch, channels, kernel, image, seed):
+    # the trained conv layer is the LC layer tied to its kernel, bit for
+    # bit: equal logits and loss, conv kernel gradients equal to the tied
+    # gradients summed over positions, equal head gradients
+    gen = np.random.default_rng(seed)
+    conv = LayerStack("conv", gen, image=image, in_channels=in_ch, channels=channels,
+                      kernel=kernel)
+    tied = LayerStack("lc", np.random.default_rng(0), image=image, in_channels=in_ch,
+                      channels=channels, kernel=kernel,
                       tie_kernels=(conv.params["layer1"], conv.params["layer2"]))
     tied.params["head_w"] = conv.params["head_w"].copy()
     tied.params["head_b"] = conv.params["head_b"].copy()
-    x = gen.normal(size=(4, 1, 8, 8))
-    lc_logits, _ = tied.forward(x)
-    conv_logits, _ = conv.forward(x)
-    assert np.abs(lc_logits - conv_logits).max() < 1e-10
+    x = gen.normal(size=(batch, in_ch, image, image))
+    labels = gen.integers(0, conv.n_classes, size=batch)
+    assert np.array_equal(tied.forward(x)[0], conv.forward(x)[0])
+    lc_loss, lc_grads = forward_backward(tied, x, labels)
+    conv_loss, conv_grads = forward_backward(conv, x, labels)
+    assert lc_loss == conv_loss
+    for name in ("layer1", "layer2"):
+        assert np.array_equal(lc_grads[name].sum(axis=(2, 3)), conv_grads[name])
+    for name in ("head_w", "head_b"):
+        assert np.array_equal(lc_grads[name], conv_grads[name])
 
 
 def test_training_learns_above_chance():
