@@ -8,12 +8,17 @@ Weight layouts
     ConvLayer.weights: (out_ch, in_ch, ky, kx), one kernel everywhere.
 
 One forward, `local_forward`, serves both: a conv kernel runs as the LC
-layer tied to it (its per-position copy, `tile_kernel`), so a conv layer
-and the tied LC layer agree bit for bit, here and in the trainer, which
-calls the same forward. Both use the cross-correlation convention (no kernel flip) and
+layer tied to it (its per-position copy), so a conv layer and the tied
+LC layer agree bit for bit, here and in the trainer, which calls the
+same forward. Both use the cross-correlation convention (no kernel flip) and
 same-shape output. Padding is zero-fill by default; "circular" padding
 is available because cyclic shift equivariance and the equal-input
 pattern property are exact only without a zero boundary.
+
+`local_forward` works batch-innermost: inputs (H, W, C, B), im2col
+columns (H'*W', C*k*k, B) built by k*k block copies of contiguous
+B-runs, and one position-batched matmul with the position-major weights
+(H'*W', O, C*k*k) (`position_weights`) into outputs (H', W', O, B).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "lc_forward",
     "conv_forward",
     "tile_kernel",
+    "position_weights",
     "tie_lc_to_conv",
     "make_partition",
     "generate_pattern",
@@ -157,25 +163,64 @@ def tile_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.broadcast_to(kernel[:, :, None, None], (o, c, height, width, k, k)).copy()
 
 
+def position_weights(weights: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The contiguous (height*width, out, in*k*k) position-major copy of
+    per-position (out, in, height, width, k, k) weights, or of the LC layer
+    tied to a shared (out, in, k, k) kernel. Contiguous in both cases,
+    because matmul's rounding can depend on its operands' strides and a
+    conv kernel must give the bits of its tied LC layer."""
+    o, c, k = weights.shape[0], weights.shape[1], weights.shape[-1]
+    if weights.ndim == 4:
+        flat = weights.reshape(o, c * k * k)
+        return np.broadcast_to(flat, (height * width, o, c * k * k)).copy()
+    flat = weights.transpose(2, 3, 0, 1, 4, 5).reshape(height * width, o, c * k * k)
+    return np.ascontiguousarray(flat)
+
+
+def _im2col(x: np.ndarray, kernel: int, pad: int, mode: PaddingMode = "zeros") -> np.ndarray:
+    """The receptive fields of a batch-innermost (H, W, C, B) input as
+    contiguous columns (H', W', C, k, k, B), built by k*k block copies
+    from the padded plane, each moving contiguous runs of B values."""
+    if mode not in ("zeros", "circular"):
+        raise ValueError(f"unknown padding mode {mode!r}")
+    h, w, c, b = x.shape
+    if mode == "circular":
+        xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0), (0, 0)), mode="wrap")
+    else:
+        xp = np.zeros((h + 2 * pad, w + 2 * pad, c, b))
+        xp[pad:pad + h, pad:pad + w] = x
+    ho, wo = h + 2 * pad - kernel + 1, w + 2 * pad - kernel + 1
+    cols = np.empty((ho, wo, c, kernel, kernel, b))
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, :, i, j] = xp[i:i + ho, j:j + wo]
+    return cols
+
+
 def local_forward(x: np.ndarray, weights: np.ndarray, pad: int,
                   mode: PaddingMode = "zeros") -> Tuple[np.ndarray, np.ndarray]:
-    """Batched forward of a layer over inputs x (B, C, H, W): each output
-    position applies its own kernel to its receptive field. weights are
-    per-position (O, C, H', W', k, k) or one shared (O, C, k, k) kernel,
-    which runs as its tiled copy, so a conv layer and the LC layer tied to
-    its kernel take the same contraction on the same operands. Returns
-    the output (B, O, H', W') and the windows (B, C, H', W', k, k)."""
-    win = padded_windows(x, weights.shape[-1], pad, mode)
-    if weights.ndim == 4:
-        weights = tile_kernel(weights, win.shape[2], win.shape[3])
-    return np.einsum("bchwij,ochwij->bohw", win, weights, optimize=True), win
+    """Batched forward of a layer over batch-innermost inputs x
+    (H, W, C, B): each output position applies its own kernel to its
+    receptive field, as one position-batched matmul of the position-major
+    weights (H'*W', O, C*k*k) with the columns (H'*W', C*k*k, B). weights
+    are per-position (O, C, H', W', k, k) or one shared (O, C, k, k)
+    kernel, which enters as the tied LC layer's weights, so a conv layer
+    and the LC layer tied to its kernel multiply the same operands.
+    Returns the output (H', W', O, B) and the columns."""
+    cols = _im2col(x, weights.shape[-1], pad, mode)
+    ho, wo, c, k, _, b = cols.shape
+    cols = cols.reshape(ho * wo, c * k * k, b)
+    out = np.matmul(position_weights(weights, ho, wo), cols)
+    return out.reshape(ho, wo, weights.shape[0], b), cols
 
 
 def lc_forward(layer: LocalLayer, x: np.ndarray) -> np.ndarray:
     """Forward pass of one image; output (out_ch, H, W), each position
     applying its own kernel to its receptive field."""
     x = _check_input(layer, x)
-    return local_forward(x[None], layer.weights, layer.pad, layer.padding_mode)[0][0]
+    out, _ = local_forward(x.transpose(1, 2, 0)[..., None], layer.weights, layer.pad,
+                           layer.padding_mode)
+    return out[..., 0].transpose(2, 0, 1)
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:

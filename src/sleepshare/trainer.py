@@ -3,11 +3,24 @@ translation-repetition batches and scheduled instant weight sharing.
 
 Stacks are two same-kernel layers (conv or LC) with ReLU, a 2x2 average
 pool between them, global average pooling, and a small linear head.
-Gradients are written out by hand (einsum). A conv layer runs as the LC
-layer tied to its kernel: both kinds take `topology.local_forward` and
-one backward contraction pair, and a conv kernel's gradient is the tied
-LC gradient summed over positions, so a conv stack and the tied LC stack
+Gradients are written out by hand. A conv layer runs as the LC layer
+tied to its kernel: both kinds take `topology.local_forward` and one
+backward matmul pair, and a conv kernel's gradient is the tied LC
+gradient summed over positions, so a conv stack and the tied LC stack
 agree bit for bit in loss and gradients.
+
+Layout: batches enter as (B, C, H, W); from the first layer to the
+global pool activations run batch-innermost, (H, W, C, B), so a layer is
+one position-batched matmul on im2col columns (H*W, C*k*k, B) and the
+elementwise steps run over contiguous memory. Backward forms the kernel
+gradient as g @ colsᵀ and the input gradient as wᵀ @ g, with g the
+transposed view of a contiguous (H*W, B, O) copy of the output gradient,
+then adds the input gradient back window offset by window offset
+(col2im). These are the operands, in order and layout, that the
+per-position einsum used before passed to matmul, so every sum runs in
+the same order: logits, loss and gradients keep the einsum's bits
+(tests/test_trainer.py keeps it as the oracle). Layer 1's input
+gradient is not formed.
 """
 
 from __future__ import annotations
@@ -22,7 +35,8 @@ from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import (Schedule, SleepConfig, kernel_grid_neg_log_snr,
                       layer_sleep_run, share_kernel_grid_means)
-from .topology import LocalLayer, kaiming_std, local_forward, tile_kernel
+from .topology import (LocalLayer, kaiming_std, local_forward, position_weights,
+                       tile_kernel)
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
@@ -114,16 +128,28 @@ def augment_translate(image: np.ndarray, pad: int, gen: np.random.Generator,
                       fill: float = 0.0) -> np.ndarray:
     """Pad with the fill value and crop back at a uniform offset; pad = 0
     is the identity."""
+    return _translate(image[None], 1, pad, gen, fill)[0]
+
+
+def _translate(images: np.ndarray, reps: int, pad: int, gen: np.random.Generator,
+               fill: float) -> np.ndarray:
+    """Each of the (n, C, H, W) images reps times in a row, every copy
+    padded with the fill value and cropped back at its own uniform
+    offset (dy drawn before dx, copy by copy): one pad of the batch and
+    one gather of all crops."""
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
+    n, c, h, w = images.shape
+    src = np.repeat(np.arange(n), reps)
     if pad == 0:
-        return image.copy()
-    c, h, w = image.shape
-    padded = np.full((c, h + 2 * pad, w + 2 * pad), fill, dtype=image.dtype)
-    padded[:, pad:pad + h, pad:pad + w] = image
-    dy = int(gen.integers(0, 2 * pad + 1))
-    dx = int(gen.integers(0, 2 * pad + 1))
-    return padded[:, dy:dy + h, dx:dx + w]
+        return images[src]
+    padded = np.full((n, c, h + 2 * pad, w + 2 * pad), fill, dtype=images.dtype)
+    padded[:, :, pad:pad + h, pad:pad + w] = images
+    # one draw of every (dy, dx) pair gives the same numbers, in the same
+    # order, as drawing dy then dx copy by copy
+    offsets = gen.integers(0, 2 * pad + 1, size=(len(src), 2))
+    crops = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
+    return crops[src, :, offsets[:, 0], offsets[:, 1]]
 
 
 def build_batch(dataset: Dataset, batch_size: int, reps: int, pad: int,
@@ -141,12 +167,8 @@ def build_batch(dataset: Dataset, batch_size: int, reps: int, pad: int,
 
 def _assemble(dataset: Dataset, idx: np.ndarray, reps: int, pad: int,
               gen: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    for i in idx:
-        for _ in range(reps):
-            xs.append(augment_translate(dataset.images[i], pad, gen, dataset.mean_value))
-            ys.append(dataset.labels[i])
-    return np.stack(xs), np.array(ys)
+    images = _translate(dataset.images[idx], reps, pad, gen, dataset.mean_value)
+    return images, np.repeat(dataset.labels[idx], reps)
 
 
 # ---------------------------------------------------------------------------
@@ -249,27 +271,47 @@ class LayerStack:
     def _layer_forward(self, x: np.ndarray, kernels: np.ndarray):
         return local_forward(x, kernels, self.kernel // 2)
 
-    def _layer_backward(self, grad_out, win, kernels, x_shape):
-        shared = kernels.ndim == 4
-        if shared:
-            kernels = tile_kernel(kernels, *grad_out.shape[2:])
-        dk = np.einsum("bchwij,bohw->ochwij", win, grad_out, optimize=True)
-        contrib = np.einsum("bohw,ochwij->bchwij", grad_out, kernels, optimize=True)
-        if shared:
+    def _layer_backward(self, grad_out, win, kernels, x_shape, input_grad: bool = True):
+        """Gradients of a layer from its output gradient (H, W, O, B) and
+        its forward's columns `win` (H*W, C*k*k, B): the kernel gradient in
+        the parameter's layout and, unless input_grad is False, the input
+        gradient in the input's (H, W, C, B) layout."""
+        h, w, o, b = grad_out.shape
+        k = self.kernel
+        # the output gradient enters both products as the transposed view
+        # of a contiguous (H*W, B, O) copy: the operands, in order and
+        # layout, that the einsum pair before im2col passed to matmul, so
+        # every sum runs in the same order and gives the same bits
+        g = np.ascontiguousarray(grad_out.reshape(h * w, o, b).transpose(0, 2, 1))
+        g = g.transpose(0, 2, 1)
+        dk = np.matmul(g, win.transpose(0, 2, 1))             # (H*W, O, C*k*k)
+        c = dk.shape[2] // (k * k)
+        if kernels.ndim == 4:
             # one kernel tied across all positions: its gradient is their sum
-            dk = dk.sum(axis=(2, 3))
-        return dk, _scatter_windows(contrib, x_shape, self.kernel // 2)
+            dk = dk.sum(axis=0).reshape(o, c, k, k)
+        else:
+            dk = dk.reshape(h, w, o, c, k, k).transpose(2, 3, 0, 1, 4, 5)
+        if not input_grad:
+            return dk, None
+        contrib = np.matmul(position_weights(kernels, h, w).transpose(0, 2, 1), g)
+        return dk, _scatter_windows(contrib, x_shape, k // 2)
 
     def forward(self, x: np.ndarray):
-        cache = {"x": x}
-        a1, cache["win1"] = self._layer_forward(x, self.params["layer1"])
-        r1 = np.maximum(a1, 0.0)
+        """Logits of a (B, C, H, W) batch; the layers run batch-innermost
+        (H, W, C, B) up to the global pool."""
+        x = x.transpose(2, 3, 1, 0)
+        r1, cols1 = self._layer_forward(x, self.params["layer1"])
+        np.maximum(r1, 0.0, out=r1)
         p1 = _avgpool2(r1)
-        a2, cache["win2"] = self._layer_forward(p1, self.params["layer2"])
-        r2 = np.maximum(a2, 0.0)
-        pooled = r2.mean(axis=(2, 3))
+        # backward needs only where r1 > 0 (exactly where a1 > 0)
+        mask1 = r1 > 0
+        del r1
+        r2, cols2 = self._layer_forward(p1, self.params["layer2"])
+        np.maximum(r2, 0.0, out=r2)
+        pooled = r2.mean(axis=(0, 1)).T
         logits = pooled @ self.params["head_w"] + self.params["head_b"]
-        cache.update(a1=a1, r1=r1, p1=p1, a2=a2, r2=r2, pooled=pooled)
+        cache = dict(x_shape=x.shape, cols1=cols1, mask1=mask1, p1_shape=p1.shape,
+                     cols2=cols2, r2=r2, pooled=pooled)
         return logits, cache
 
     def backward(self, grad_logits: np.ndarray, cache) -> Dict[str, np.ndarray]:
@@ -277,36 +319,42 @@ class LayerStack:
         grads["head_w"] = cache["pooled"].T @ grad_logits
         grads["head_b"] = grad_logits.sum(axis=0)
         dpooled = grad_logits @ self.params["head_w"].T
-        b, c, h, w = cache["r2"].shape
-        dr2 = np.broadcast_to(dpooled[:, :, None, None] / (h * w), cache["r2"].shape)
-        da2 = dr2 * (cache["a2"] > 0)
-        grads["layer2"], dp1 = self._layer_backward(da2, cache["win2"],
-                                                    self.params["layer2"], cache["p1"].shape)
-        dr1 = _avgpool2_backward(dp1)
-        da1 = dr1 * (cache["a1"] > 0)
-        grads["layer1"], _ = self._layer_backward(da1, cache["win1"],
-                                                  self.params["layer1"], cache["x"].shape)
+        r2 = cache["r2"]
+        da2 = dpooled.T / (r2.shape[0] * r2.shape[1]) * (r2 > 0)
+        grads["layer2"], dp1 = self._layer_backward(da2, cache["cols2"], self.params["layer2"],
+                                                    cache["p1_shape"])
+        da1 = _avgpool2_backward(dp1, cache["mask1"])
+        # the input gradient of layer 1 is never used
+        grads["layer1"], _ = self._layer_backward(da1, cache["cols1"], self.params["layer1"],
+                                                  cache["x_shape"], input_grad=False)
         return grads
 
 
 def _scatter_windows(contrib: np.ndarray, x_shape, pad: int) -> np.ndarray:
-    # contrib (B,C,H,W,k,k) accumulated back onto the (padded) input plane
-    b, c, h, w = x_shape
-    k = contrib.shape[-1]
-    out = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    """col2im: window gradients contrib (H*W, C*k*k, B) accumulated onto
+    the padded (H, W, C, B) input plane, window offset (i, j) by offset in
+    row-major order, and cropped back to the input."""
+    h, w, c, b = x_shape
+    k = 2 * pad + 1
+    win = contrib.reshape(h, w, c, k, k, b)
+    out = np.zeros((h + 2 * pad, w + 2 * pad, c, b))
     for i in range(k):
         for j in range(k):
-            out[:, :, i:i + h, j:j + w] += contrib[:, :, :, :, i, j]
-    return out[:, :, pad:pad + h, pad:pad + w] if pad else out
+            out[i:i + h, j:j + w] += win[:, :, :, i, j]
+    return out[pad:pad + h, pad:pad + w]
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
-    b, c, h, w = x.shape
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    h, w, c, b = x.shape
+    return x.reshape(h // 2, 2, w // 2, 2, c, b).mean(axis=(1, 3))
 
 
-def _avgpool2_backward(grad: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(grad, 2, axis=2), 2, axis=3) / 4.0
+def _avgpool2_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The pool's input gradient, each (H/2, W/2, C, B) entry spread over
+    its 2x2 block, times the (H, W, C, B) ReLU mask of that input."""
+    h, w, c, b = mask.shape
+    spread = (grad / 4.0)[:, None, :, None]
+    return np.multiply(spread, mask.reshape(h // 2, 2, w // 2, 2, c, b)).reshape(h, w, c, b)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -350,12 +398,28 @@ class AdamW:
         self.t += 1
         out = {}
         for name, p in params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mh = self.m[name] / (1 - self.beta1 ** self.t)
-            vh = self.v[name] / (1 - self.beta2 ** self.t)
-            out[name] = p - self.lr * (mh / (np.sqrt(vh) + self.eps) + self.weight_decay * p)
+            # an LC gradient arrives position-major: one copy into the
+            # parameter's order keeps the passes below contiguous
+            g = np.ascontiguousarray(grads[name])
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            tmp = np.multiply(1 - self.beta1, g)
+            m += tmp
+            v *= self.beta2
+            np.multiply(1 - self.beta2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            # p - lr * (mh / (sqrt(vh) + eps) + weight_decay * p), operation
+            # by operation, in two buffers
+            np.divide(v, 1 - self.beta2 ** self.t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = np.divide(m, 1 - self.beta1 ** self.t)
+            step /= tmp
+            np.multiply(self.weight_decay, p, out=tmp)
+            step += tmp
+            step *= self.lr
+            out[name] = np.subtract(p, step, out=step)
         return out
 
     def share_state(self, name: str, k: int) -> None:
@@ -379,8 +443,10 @@ class SgdMomentum:
     def step(self, params, grads):
         out = {}
         for name, p in params.items():
-            self.vel[name] = self.momentum * self.vel[name] + grads[name]
-            out[name] = p - self.lr * self.vel[name]
+            vel = self.vel[name]
+            vel *= self.momentum
+            vel += grads[name]
+            out[name] = p - self.lr * vel
         return out
 
     def share_state(self, name: str, k: int) -> None:

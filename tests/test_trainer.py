@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import sleepshare as ss
 from sleepshare.mathcore import RngStream
 from sleepshare.trainer import (AdamW, Dataset, LayerStack, SgdMomentum,
-                                TrainConfig, augment_translate, build_batch,
+                                TrainConfig, _assemble, augment_translate, build_batch,
                                 forward_backward, read_idx, load_idx_pair,
                                 run_experiment, shape_masks,
                                 softmax_cross_entropy, train)
+from sleepshare.topology import padded_windows, tile_kernel
 
 
 def test_shape_masks():
@@ -116,6 +117,29 @@ def test_augment_offsets_cover_grid_uniformly():
     assert len(counts) == 25
     assert set(counts) == {(r, c) for r in range(2, 7) for c in range(2, 7)}
     assert min(counts.values()) > 15
+
+
+@pytest.mark.parametrize("reps,pad", [(1, 2), (4, 3), (3, 0)])
+def test_assemble_matches_copy_by_copy_crops(reps, pad):
+    # one padded batch and one gather give the crops, labels and generator
+    # state of padding and cropping each copy on its own, dy then dx
+    ds = Dataset.synthetic(12, np.random.default_rng(16), image=8)
+    idx = np.array([5, 0, 7])
+    # Philox, the bit generator of the training streams (RngStream)
+    gen, ref = (np.random.Generator(np.random.Philox(17)) for _ in "ab")
+    xb, yb = _assemble(ds, idx, reps, pad, gen)
+    crops, labels = [], []
+    for i in idx:
+        for _ in range(reps):
+            padded = np.pad(ds.images[i], ((0, 0), (pad, pad), (pad, pad)),
+                            constant_values=ds.mean_value)
+            dy = int(ref.integers(0, 2 * pad + 1)) if pad else 0
+            dx = int(ref.integers(0, 2 * pad + 1)) if pad else 0
+            crops.append(padded[:, dy:dy + 8, dx:dx + 8])
+            labels.append(ds.labels[i])
+    assert np.array_equal(xb, np.stack(crops))
+    assert np.array_equal(yb, labels) and yb.dtype == ds.labels.dtype
+    assert gen.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 def _identity_readable(n, value_scale=1.0):
@@ -244,6 +268,42 @@ def test_sgd_momentum_hand():
 
 
 @pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
+def test_optimizer_steps_match_out_of_place_updates(cls):
+    # the in-place state updates keep the operation order of the textbook
+    # expressions, so 20 steps (with a grid projection of the state
+    # between) agree bit for bit
+    gen = np.random.default_rng(18)
+    shapes = {"layer1": (2, 1, 6, 6, 3, 3), "head_w": (2, 4)}
+    params = {n: gen.normal(size=s) for n, s in shapes.items()}
+    b1, b2, eps, wd, lr, mom = 0.9, 0.999, 1e-8, 0.01, 0.01, 0.9
+    opt = AdamW(params, lr, weight_decay=wd) if cls is AdamW else SgdMomentum(params, lr)
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    p, want = params, dict(params)
+    for t in range(1, 21):
+        # position-major LC gradients, as backward hands them over
+        grads = {"layer1": gen.normal(size=(6, 6, 2, 1, 3, 3)).transpose(2, 3, 0, 1, 4, 5),
+                 "head_w": gen.normal(size=(2, 4))}
+        p = opt.step(p, grads)
+        for n, g in grads.items():
+            if cls is AdamW:
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                mh, vh = m[n] / (1 - b1 ** t), v[n] / (1 - b2 ** t)
+                want[n] = want[n] - lr * (mh / (np.sqrt(vh) + eps) + wd * want[n])
+            else:
+                m[n] = mom * m[n] + g
+                want[n] = want[n] - lr * m[n]
+        if t % 7 == 0:
+            opt.share_state("layer1", 3)
+            m["layer1"] = ss.share_kernel_grid_means(m["layer1"], 3)
+            if cls is AdamW:
+                v["layer1"] = ss.share_kernel_grid_means(v["layer1"], 3, scale_by_group=True)
+        for n in shapes:
+            assert np.array_equal(p[n], want[n]), (t, n)
+
+
+@pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
 def test_optimizer_share_state_projects_to_grids(cls):
     gen = np.random.default_rng(14)
     shape = (2, 1, 6, 6, 3, 3)
@@ -357,6 +417,101 @@ def test_tied_lc_forward_matches_conv(batch, in_ch, channels, kernel, image, see
         assert np.array_equal(lc_grads[name].sum(axis=(2, 3)), conv_grads[name])
     for name in ("head_w", "head_b"):
         assert np.array_equal(lc_grads[name], conv_grads[name])
+
+
+# The einsum oracle: the layer op before im2col, in the (B, C, H, W)
+# layout: per-position contractions over strided sliding windows and a
+# strided scatter of the window gradients.
+
+
+def _oracle_layer_forward(x, kernels, pad):
+    win = padded_windows(x, kernels.shape[-1], pad)
+    if kernels.ndim == 4:
+        kernels = tile_kernel(kernels, win.shape[2], win.shape[3])
+    return np.einsum("bchwij,ochwij->bohw", win, kernels, optimize=True), win
+
+
+def _oracle_scatter_windows(contrib, x_shape, pad):
+    b, c, h, w = x_shape
+    k = contrib.shape[-1]
+    out = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            out[:, :, i:i + h, j:j + w] += contrib[:, :, :, :, i, j]
+    return out[:, :, pad:pad + h, pad:pad + w] if pad else out
+
+
+def _oracle_layer_backward(grad_out, win, kernels, x_shape, pad):
+    shared = kernels.ndim == 4
+    if shared:
+        kernels = tile_kernel(kernels, *grad_out.shape[2:])
+    dk = np.einsum("bchwij,bohw->ochwij", win, grad_out, optimize=True)
+    contrib = np.einsum("bohw,ochwij->bchwij", grad_out, kernels, optimize=True)
+    if shared:
+        dk = dk.sum(axis=(2, 3))
+    return dk, _oracle_scatter_windows(contrib, x_shape, pad)
+
+
+def _oracle_forward_backward(stack, x, labels):
+    p, pad = stack.params, stack.kernel // 2
+    a1, win1 = _oracle_layer_forward(x, p["layer1"], pad)
+    r1 = np.maximum(a1, 0.0)
+    b, c, h, w = r1.shape
+    p1 = r1.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    a2, win2 = _oracle_layer_forward(p1, p["layer2"], pad)
+    r2 = np.maximum(a2, 0.0)
+    pooled = r2.mean(axis=(2, 3))
+    logits = pooled @ p["head_w"] + p["head_b"]
+    loss, grad_logits = softmax_cross_entropy(logits, labels)
+    grads = {"head_w": pooled.T @ grad_logits, "head_b": grad_logits.sum(axis=0)}
+    dpooled = grad_logits @ p["head_w"].T
+    h2, w2 = r2.shape[2:]
+    da2 = np.broadcast_to(dpooled[:, :, None, None] / (h2 * w2), r2.shape) * (a2 > 0)
+    grads["layer2"], dp1 = _oracle_layer_backward(da2, win2, p["layer2"], p1.shape, pad)
+    da1 = np.repeat(np.repeat(dp1, 2, axis=2), 2, axis=3) / 4.0 * (a1 > 0)
+    grads["layer1"], _ = _oracle_layer_backward(da1, win1, p["layer1"], x.shape, pad)
+    return logits, loss, grads
+
+
+def _stack_and_batch(kind, batch, in_ch, channels, kernel, image, seed):
+    gen = np.random.default_rng(seed)
+    stack = LayerStack(kind, gen, image=image, in_channels=in_ch, channels=channels,
+                       kernel=kernel)
+    x = gen.normal(size=(batch, in_ch, image, image))
+    return stack, x, gen.integers(0, stack.n_classes, size=batch)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["lc", "conv"]), batch=st.integers(1, 6),
+       in_ch=st.integers(1, 3), channels=st.integers(1, 4),
+       kernel=st.sampled_from([1, 3, 5]), image=st.sampled_from([2, 4, 6, 8, 10]),
+       seed=st.integers(0, 2**16))
+def test_layer_op_matches_einsum_oracle(kind, batch, in_ch, channels, kernel, image, seed):
+    stack, x, labels = _stack_and_batch(kind, batch, in_ch, channels, kernel, image, seed)
+    want_logits, want_loss, want_grads = _oracle_forward_backward(stack, x, labels)
+    assert _rel_err(stack.forward(x)[0], want_logits) <= 1e-12
+    loss, grads = forward_backward(stack, x, labels)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, want in want_grads.items():
+        assert grads[name].shape == want.shape
+        assert _rel_err(grads[name], want) <= 1e-12, name
+
+
+@pytest.mark.parametrize("batch", [64, 256])
+@pytest.mark.parametrize("kind", ["lc", "conv"])
+def test_layer_op_bitwise_at_benchmark_shapes(kind, batch):
+    # the shapes every default run trains and evaluates at: same bits
+    stack, x, labels = _stack_and_batch(kind, batch, 1, 8, 3, 16, batch)
+    want_logits, want_loss, want_grads = _oracle_forward_backward(stack, x, labels)
+    assert np.array_equal(stack.forward(x)[0], want_logits)
+    loss, grads = forward_backward(stack, x, labels)
+    assert loss == want_loss
+    for name, want in want_grads.items():
+        assert np.array_equal(grads[name], want), name
 
 
 def test_training_learns_above_chance():
