@@ -9,7 +9,7 @@ experiments in reproducible runs.
 
 from .errors import (DivergenceError, ShapeError, SingularMatrixError,
                      ToleranceError)
-from .mathcore import RngStream, gaussian, matvec, solve_spd
+from .mathcore import RngStream, solve_spd
 from .ratecircuit import (RateCircuit, RateSleepResult, rate_fixed_point,
                           rate_sleep_run, rate_step)
 from .sharing import (NEG_LOG_SNR_CONVERGED, NEG_LOG_SNR_ZERO_MEAN,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivergenceError", "ShapeError", "SingularMatrixError", "ToleranceError",
-    "RngStream", "gaussian", "matvec", "solve_spd",
+    "RngStream", "solve_spd",
     "RateCircuit", "RateSleepResult", "rate_fixed_point", "rate_sleep_run",
     "rate_step",
     "NEG_LOG_SNR_CONVERGED", "NEG_LOG_SNR_ZERO_MEAN", "NoiseFloorResult",

@@ -413,7 +413,10 @@ def cmd_sleep_rate(cfg, out: RunDir) -> int:
         for key in ("momentum", "sigma"):
             if cfg[key] != 0.0:
                 raise UsageError(f"--{key} is not used in ode mode; got {cfg[key]}")
-    # constructing a circuit validates dt <= tau/10 and present_ms/dt
+    if not (math.isfinite(cfg["rate_const"]) and cfg["rate_const"] >= 0):
+        # a negative gain would flip the anti-Hebbian rule to Hebbian
+        raise UsageError(f"rate_const must be finite and >= 0, got {cfg['rate_const']}")
+    # constructing a circuit validates its constants, dt <= tau/10 and present_ms/dt
     try:
         _circuit(cfg)
     except ValueError as e:

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import ShapeError, SingularMatrixError
 
-__all__ = ["RngStream", "matvec", "solve_spd", "gaussian"]
+__all__ = ["RngStream", "solve_spd"]
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def matvec(a, v):
-    """Matrix-vector product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec: incompatible shapes {a.shape} and {v.shape}")
-    return a @ v
-
-
 def solve_spd(a, b):
     """Solve a x = b for symmetric positive definite a via Cholesky.
 
@@ -72,10 +63,3 @@ def solve_spd(a, b):
         raise SingularMatrixError(pivot, str(e)) from e
     return scipy.linalg.cho_solve(cf, b)
 
-
-def gaussian(rng: RngStream | np.random.Generator, mean: float, std: float, n: int):
-    """n i.i.d. normal samples from the given stream."""
-    if std < 0:
-        raise ValueError(f"gaussian: std must be >= 0, got {std}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return gen.normal(mean, std, size=n)

@@ -33,6 +33,15 @@ z0_i = w0_i . x, into
 so T Euler steps are two matrix powers and one O(N*D) reconstruction of
 the weights. `rate_step` is the single Euler step the propagator is the
 T-fold power of.
+
+Only the reconstruction depends on the state. The runner takes the
+presentations in blocks of `_BLOCK`: per block, one draw gives the
+inputs, and stacked calls give their norms, x_hat, z0 = w0 x, the
+(m, 5, 5) step matrices and both matrix powers, before the
+per-presentation loop applies them in order. One `neg_log_snr` call on
+the block's weight snapshots fills its trajectory. Each stacked call is
+bitwise the per-presentation one, so the output does not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -69,12 +78,17 @@ class RateCircuit:
     t_ms: float = 0.0     # elapsed simulated time, for error context
 
     def __post_init__(self):
+        for name in ("tau", "b", "dt", "present_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.dt > self.tau / 10.0 + 1e-12:
             raise ValueError(f"dt must be <= tau/10 for stability, got dt={self.dt}, tau={self.tau}")
+        if self.present_ms <= 0:
+            raise ValueError(f"present_ms must be > 0, got {self.present_ms}")
         steps = self.present_ms / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"present_ms ({self.present_ms}) must be a multiple of dt ({self.dt})")
@@ -122,22 +136,32 @@ class RateSleepResult(SleepResult):
     frac_nonneg: float = 1.0   # presentations whose settled rates stayed >= 0
 
 
-def _euler_step_matrix(c: float, s: float, h: float, gamma: float,
+def _euler_step_matrix(c: float, s: np.ndarray, h: np.ndarray, gamma: float,
                        alpha: float, b: float) -> np.ndarray:
-    """One Euler step of (mean r, mean a, r_inh, mean z0, 1) as a 5x5 matrix:
-    the rate update at the step's starting weights, then the plasticity
-    update with per-step gain h from the new rates. Rows and columns
-    (0, 1, 3) are the step of the per-neuron deviations from those means,
-    which the shared r_inh and the constants do not reach."""
-    rates = np.eye(5)
-    rates[0] = (1.0 - c, c * s, -c * alpha, c, c * b)
-    rates[2] = (c, 0.0, 1.0 - c, 0.0, -c * b)
-    plastic = np.eye(5)
-    plastic[1] = (-h * s, 1.0 - h * gamma, 0.0, 0.0, h * s * b)
+    """One Euler step of (mean r, mean a, r_inh, mean z0, 1) as a 5x5 matrix
+    for each presentation of a block, an (m, 5, 5) stack from the input
+    norms s and per-step gains h, both (m,): the rate update at the step's
+    starting weights, then the plasticity update with gain h from the new
+    rates. Rows and columns (0, 1, 3) are the step of the per-neuron
+    deviations from those means, which the shared r_inh and the constants
+    do not reach."""
+    rates = np.tile(np.eye(5), (len(s), 1, 1))
+    rates[:, 0] = (1.0 - c, 0.0, -c * alpha, c, c * b)
+    rates[:, 0, 1] = c * s
+    rates[:, 2] = (c, 0.0, 1.0 - c, 0.0, -c * b)
+    plastic = np.tile(np.eye(5), (len(s), 1, 1))
+    plastic[:, 1, 0] = -h * s
+    plastic[:, 1, 1] = 1.0 - h * gamma
+    plastic[:, 1, 4] = h * s * b
     return plastic @ rates
 
 
-_DEVIATION = np.ix_((0, 1, 3), (0, 1, 3))
+_DEVIATION = (slice(None),) + np.ix_((0, 1, 3), (0, 1, 3))
+
+# Presentations per block. Each block draws its inputs and builds its
+# propagators in stacked calls; a larger block buys no more speed and
+# costs memory for the (m, N, D) weight snapshots.
+_BLOCK = 32
 
 
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
@@ -166,10 +190,18 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
         raise ValueError(f"unknown mode {mode!r}")
     if plasticity not in ("continuous", "terminal"):
         raise ValueError(f"unknown plasticity {plasticity!r}")
+    # a diverging cell overflows before its check names the presentation,
+    # and the block's later presentations may overflow in the stacked set-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ode_run(bundle, circuit, config, gen, plasticity, rate_const,
+                        reset_rates)
 
+
+def _ode_run(bundle, circuit, config, gen, plasticity, rate_const, reset_rates):
     w = bundle.weights
     w0 = bundle.init
     n, d = bundle.n, bundle.d
+    gamma = config.gamma
     ideal = math.isinf(circuit.alpha)
     if not ideal:
         circuit.reset(n)
@@ -182,53 +214,66 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     traj = np.empty(config.iterations)
     initial = neg_log_snr(w)
     nonneg = 0
-    for k in range(config.iterations):
-        x = gen.normal(config.input_mean, config.input_std, size=d)
-        eta = config.schedule(k)
-        h = eta * gain
-        if h or not ideal:
-            if reset_rates and not ideal:
-                circuit.reset(n)
-            s = math.sqrt(float(x @ x))
-            x_hat = x / s if s else x
-            dw = w - w0
-            # per-neuron (r_i, a_i, z0_i), split into means and deviations
-            dev = np.stack((np.zeros(n) if ideal else circuit.r, dw @ x_hat, w0 @ x))
-            mean = dev.mean(axis=1)
-            dev -= mean[:, None]
-            step = _euler_step_matrix(c, s, h, config.gamma, alpha, circuit.b)
-            dev_end = np.linalg.matrix_power(step[_DEVIATION], steps) @ dev
-            dec = (1.0 - h * config.gamma) ** steps
-            if ideal:
-                a_mean_end = dec * mean[1]
-            else:
-                mean_end = np.linalg.matrix_power(step, steps) @ (
-                    mean[0], mean[1], circuit.r_inh, mean[2], 1.0)
-                circuit.r[:] = mean_end[0] + dev_end[0]
-                circuit.r_inh = float(mean_end[2])
-                circuit.t_ms += steps * circuit.dt
-                if not np.all(np.isfinite(circuit.r)) or not math.isfinite(circuit.r_inh):
-                    raise DivergenceError("rate dynamics diverged",
-                                          f"presentation {k}, t = {circuit.t_ms:.1f} ms")
-                a_mean_end = mean_end[1]
-            if h:
-                # w <- w0 + dec (w - w0) + (a_end - dec a) x_hat
-                dw *= dec
-                dw += np.outer(a_mean_end - dec * mean[1] + dev_end[1] - dec * dev[1], x_hat)
-                np.add(w0, dw, out=w)
-        if plasticity == "terminal":
-            if ideal:
-                z = w @ x
-                settled = z - z.mean()
-            else:
-                settled = circuit.r - circuit.b
-            w -= eta * (settled[:, None] * x[None, :] + config.gamma * (w - w0))
-        if ideal or circuit.r.min() >= 0.0:
-            nonneg += 1
-        if not np.all(np.isfinite(w)):
-            raise DivergenceError("non-finite weights in rate sleep run",
-                                  f"presentation {k}")
-        traj[k] = neg_log_snr(w)
+    snap = np.empty((min(_BLOCK, config.iterations), n, d))
+    for k0 in range(0, config.iterations, _BLOCK):
+        m = min(_BLOCK, config.iterations - k0)
+        # what depends only on the block's inputs and step sizes
+        xs = gen.normal(config.input_mean, config.input_std, size=(m, d))
+        etas = [config.schedule(k) for k in range(k0, k0 + m)]
+        hs = [eta * gain for eta in etas]
+        if not ideal or any(hs):
+            s = np.array([math.sqrt(float(x @ x)) for x in xs])
+            x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
+            z0 = np.matmul(w0[None], xs[:, :, None])[..., 0]
+            step = _euler_step_matrix(c, s, np.array(hs), gamma, alpha, circuit.b)
+            dev_powers = np.linalg.matrix_power(step[_DEVIATION], steps)
+            if not ideal:
+                mean_powers = np.linalg.matrix_power(step, steps)
+        for j in range(m):
+            k = k0 + j
+            x, eta, h = xs[j], etas[j], hs[j]
+            if h or not ideal:
+                if reset_rates and not ideal:
+                    circuit.reset(n)
+                dw = w - w0
+                # per-neuron (r_i, a_i, z0_i), split into means and deviations
+                dev = np.stack((np.zeros(n) if ideal else circuit.r, dw @ x_hats[j], z0[j]))
+                mean = dev.mean(axis=1)
+                dev -= mean[:, None]
+                dev_end = dev_powers[j] @ dev
+                dec = (1.0 - h * gamma) ** steps
+                if ideal:
+                    a_mean_end = dec * mean[1]
+                else:
+                    mean_end = mean_powers[j] @ (
+                        mean[0], mean[1], circuit.r_inh, mean[2], 1.0)
+                    circuit.r[:] = mean_end[0] + dev_end[0]
+                    circuit.r_inh = float(mean_end[2])
+                    circuit.t_ms += steps * circuit.dt
+                    if not np.all(np.isfinite(circuit.r)) or not math.isfinite(circuit.r_inh):
+                        raise DivergenceError("rate dynamics diverged",
+                                              f"presentation {k}, t = {circuit.t_ms:.1f} ms")
+                    a_mean_end = mean_end[1]
+                if h:
+                    # w <- w0 + dec (w - w0) + (a_end - dec a) x_hat
+                    dw *= dec
+                    dw += np.outer(a_mean_end - dec * mean[1] + dev_end[1] - dec * dev[1],
+                                   x_hats[j])
+                    np.add(w0, dw, out=w)
+            if plasticity == "terminal":
+                if ideal:
+                    z = w @ x
+                    settled = z - z.mean()
+                else:
+                    settled = circuit.r - circuit.b
+                w -= eta * (settled[:, None] * x[None, :] + gamma * (w - w0))
+            if ideal or circuit.r.min() >= 0.0:
+                nonneg += 1
+            if not np.all(np.isfinite(w)):
+                raise DivergenceError("non-finite weights in rate sleep run",
+                                      f"presentation {k}")
+            snap[j] = w
+        traj[k0:k0 + m] = neg_log_snr(snap[:m])
     frac = nonneg / config.iterations if config.iterations else 1.0
     return RateSleepResult(trajectory=traj, initial=initial, bundle=bundle,
                            frac_nonneg=frac)

@@ -137,6 +137,34 @@ def test_rate_rejects_unknown_plasticity(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--present-ms", "-150"),   # inverse Euler steps
+    ("--present-ms", "0"),
+    ("--present-ms", "inf"),
+    ("--tau-ms", "nan"),
+    ("--dt-ms", "nan"),
+    ("--bias", "nan"),
+    ("--rate-const", "-2"),     # Hebbian, not anti-Hebbian
+    ("--rate-const", "nan"),
+    ("--rate-const", "inf"),
+])
+def test_rate_rejects_bad_circuit(tmp_path, flag, value):
+    out = tmp_path / "o"
+    assert run("sleep-rate", flag, value, *SMALL_SLEEP, "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_rate_divergence_prints_only_the_failure(tmp_path, capfd):
+    out = tmp_path / "o"
+    assert run("sleep-rate", "--k", "3", "--gamma", "1e-3", "--seeds", "1",
+               "--iters", "400", "--warmup", "0", "--schedule", "constant",
+               "--eta-a", "3", "--out", str(out)) == cli.EXIT_DIVERGENCE
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: ")
+    assert "[presentation 19, " in err[0]
+
+
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
 @pytest.mark.parametrize("mode", ["ode", "discrete"])
 def test_rate_rejects_nonpositive_alpha(tmp_path, mode, alpha):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sleepshare.errors import ShapeError, SingularMatrixError
-from sleepshare.mathcore import RngStream, gaussian, matvec, solve_spd
+from sleepshare.errors import SingularMatrixError
+from sleepshare.mathcore import RngStream, solve_spd
 
 
 def test_stream_reproducible():
@@ -26,18 +26,6 @@ def test_spawn_extends_path():
     assert child.seed == 3
     direct = RngStream(3, (4, 5, 6)).generator().normal(size=4)
     assert np.array_equal(child.generator().normal(size=4), direct)
-
-
-def test_matvec_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 6))
-    v = rng.normal(size=6)
-    assert np.allclose(matvec(a, v), a @ v, rtol=0, atol=1e-14)
-
-
-def test_matvec_shape_error():
-    with pytest.raises(ShapeError):
-        matvec(np.zeros((3, 4)), np.zeros(5))
 
 
 def test_solve_spd_matches_dense_solve():
@@ -64,14 +52,3 @@ def test_solve_spd_singular_names_pivot():
         solve_spd(a, np.ones(3))
     assert exc.value.pivot >= 0
     assert "pivot" in str(exc.value)
-
-
-def test_gaussian_moments():
-    g = gaussian(RngStream(0, (9,)), 2.0, 3.0, 200_000)
-    assert abs(g.mean() - 2.0) < 0.05
-    assert abs(g.std() - 3.0) < 0.05
-
-
-def test_gaussian_rejects_negative_std():
-    with pytest.raises(ValueError):
-        gaussian(RngStream(0, ()), 0.0, -1.0, 4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sleepshare as ss
 from sleepshare.errors import DivergenceError
@@ -23,6 +25,11 @@ def test_constructor_validation():
         make_circuit(dt=4.0)  # > tau/10
     with pytest.raises(ValueError):
         make_circuit(present_ms=151.5)
+    for bad in (dict(present_ms=0.0), dict(present_ms=-150.0),
+                dict(present_ms=math.inf), dict(tau=math.nan), dict(tau=math.inf),
+                dict(b=math.nan), dict(dt=math.nan)):
+        with pytest.raises(ValueError):
+            make_circuit(**bad)
 
 
 def test_steps_per_presentation():
@@ -93,14 +100,17 @@ def test_settled_deviation_matches_biased_update():
 
 
 class FixedDraw:
-    """Stands in for a Generator, returning a fixed vector once."""
+    """Stands in for a Generator, returning a fixed vector once, as one
+    draw of size d or as a block of one row, size (1, d)."""
 
     def __init__(self, x):
         self.x = x
+        self.drawn = False
 
     def normal(self, mean, std, size):
-        assert size == self.x.shape[0]
-        return self.x.copy()
+        assert not self.drawn and size in (self.x.shape[0], (1, self.x.shape[0]))
+        self.drawn = True
+        return self.x.reshape(size).copy()
 
 
 def test_discrete_mode_matches_ideal_runner():
@@ -266,7 +276,115 @@ def test_propagator_divergence_names_presentation(alpha):
     bundle = ss.WeightBundle.from_rng(gen, 10, 9)
     cfg = ss.SleepConfig(gamma=1e-3, schedule=ss.Schedule("constant", 1e3),
                          iterations=5, alpha=alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as exc:
-            ss.rate_sleep_run(bundle, make_circuit(alpha=alpha), cfg, gen)
+    # pytest turns a RuntimeWarning into an error: the runner must not warn
+    with pytest.raises(DivergenceError) as exc:
+        ss.rate_sleep_run(bundle, make_circuit(alpha=alpha), cfg, gen)
     assert "presentation 0" in str(exc.value)
+
+
+def step_matrix(c, s, h, gamma, alpha, b):
+    """One Euler step of (mean r, mean a, r_inh, mean z0, 1) for a single
+    presentation: the rate update, then the plasticity update."""
+    rates = np.eye(5)
+    rates[0] = (1.0 - c, c * s, -c * alpha, c, c * b)
+    rates[2] = (c, 0.0, 1.0 - c, 0.0, -c * b)
+    plastic = np.eye(5)
+    plastic[1] = (-h * s, 1.0 - h * gamma, 0.0, 0.0, h * s * b)
+    return plastic @ rates
+
+
+DEVIATION = np.ix_((0, 1, 3), (0, 1, 3))
+
+
+def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
+                              rate_const=2.0, reset_rates=False):
+    """Reference for rate_sleep_run's blocked ode mode: draws, builds and
+    powers each presentation's propagator on its own, then applies it."""
+    w, w0 = bundle.weights, bundle.init
+    n, d = bundle.n, bundle.d
+    ideal = math.isinf(circuit.alpha)
+    if not ideal:
+        circuit.reset(n)
+    steps = circuit.steps_per_presentation
+    c = 1.0 if ideal else circuit.dt / circuit.tau
+    alpha = 0.0 if ideal else circuit.alpha
+    gain = rate_const * circuit.dt if plasticity == "continuous" else 0.0
+    traj = np.empty(config.iterations)
+    nonneg = 0
+    for k in range(config.iterations):
+        x = gen.normal(config.input_mean, config.input_std, size=d)
+        eta = config.schedule(k)
+        h = eta * gain
+        if h or not ideal:
+            if reset_rates and not ideal:
+                circuit.reset(n)
+            s = math.sqrt(float(x @ x))
+            x_hat = x / s if s else x
+            dw = w - w0
+            dev = np.stack((np.zeros(n) if ideal else circuit.r, dw @ x_hat, w0 @ x))
+            mean = dev.mean(axis=1)
+            dev -= mean[:, None]
+            step = step_matrix(c, s, h, config.gamma, alpha, circuit.b)
+            dev_end = np.linalg.matrix_power(step[DEVIATION], steps) @ dev
+            dec = (1.0 - h * config.gamma) ** steps
+            if ideal:
+                a_mean_end = dec * mean[1]
+            else:
+                mean_end = np.linalg.matrix_power(step, steps) @ (
+                    mean[0], mean[1], circuit.r_inh, mean[2], 1.0)
+                circuit.r[:] = mean_end[0] + dev_end[0]
+                circuit.r_inh = float(mean_end[2])
+                circuit.t_ms += steps * circuit.dt
+                a_mean_end = mean_end[1]
+            if h:
+                dw *= dec
+                dw += np.outer(a_mean_end - dec * mean[1] + dev_end[1] - dec * dev[1], x_hat)
+                np.add(w0, dw, out=w)
+        if plasticity == "terminal":
+            if ideal:
+                z = w @ x
+                settled = z - z.mean()
+            else:
+                settled = circuit.r - circuit.b
+            w -= eta * (settled[:, None] * x[None, :] + config.gamma * (w - w0))
+        if ideal or circuit.r.min() >= 0.0:
+            nonneg += 1
+        traj[k] = ss.neg_log_snr(w)
+    return traj, nonneg / config.iterations if config.iterations else 1.0
+
+
+BLOCK = ss.ratecircuit._BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from([10.0, math.inf]),
+       plasticity=st.sampled_from(["continuous", "terminal"]),
+       reset_rates=st.booleans(),
+       warmup=st.sampled_from([0, 5, BLOCK + 2]),
+       iterations=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+       k=st.sampled_from([2, 3]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, reset_rates,
+                                                       warmup, iterations, k, n, seed):
+    # the stacked per-block set-up gives the per-presentation bits exactly
+    runs = []
+    for runner in (ss.rate_sleep_run, propagator_rate_sleep_run):
+        gen = RngStream(seed, (46,)).generator()
+        bundle = ss.WeightBundle.from_rng(gen, n, k * k)
+        circuit = make_circuit(alpha=alpha)
+        cfg = ss.SleepConfig(
+            gamma=1e-3, schedule=ss.Schedule("inverse_sqrt", 3e-4, 2.0, warmup=warmup),
+            iterations=iterations, alpha=alpha)
+        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity,
+                     reset_rates=reset_rates)
+        runs.append((out, bundle, circuit, gen))
+    (res, bundle, circuit, gen), ((traj, frac), ref_bundle, ref_circuit, ref_gen) = runs
+    assert np.array_equal(res.trajectory, traj)
+    assert np.array_equal(bundle.weights, ref_bundle.weights)
+    assert res.frac_nonneg == frac
+    if math.isinf(alpha):
+        assert circuit.r is None and ref_circuit.r is None
+    else:
+        assert np.array_equal(circuit.r, ref_circuit.r)
+    assert circuit.r_inh == ref_circuit.r_inh
+    assert circuit.t_ms == ref_circuit.t_ms
+    assert np.array_equal(gen.random(4), ref_gen.random(4))

@@ -36,6 +36,34 @@ def test_synthetic_dataset_deterministic():
     assert d1.labels.min() >= 0 and d1.labels.max() < 4
 
 
+def loop_synthetic(n, gen, image=16, noise=0.15):
+    """Reference for Dataset.synthetic: places each image's glyph in turn."""
+    masks = shape_masks()
+    s = masks.shape[1]
+    y = gen.integers(0, len(masks), size=n)
+    x = gen.normal(0.0, noise, size=(n, 1, image, image))
+    pos = gen.integers(0, image - s + 1, size=(n, 2))
+    for i in range(n):
+        r, c = pos[i]
+        x[i, 0, r:r + s, c:c + s] += masks[y[i]]
+    return x, y, float(x.mean())
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 70),
+       image=st.integers(5, 16), noise=st.sampled_from([0.0, 0.15, 2.0]))
+@example(seed=0, n=512, image=16, noise=0.15)
+def test_synthetic_matches_per_image_loop(seed, n, image, noise):
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    ds = Dataset.synthetic(n, gen, image=image, noise=noise)
+    x, y, mean = loop_synthetic(n, ref_gen, image=image, noise=noise)
+    assert np.array_equal(ds.images, x)
+    assert np.array_equal(ds.labels, y)
+    assert ds.mean_value == mean
+    # both drew the same values in the same order
+    assert np.array_equal(gen.random(4), ref_gen.random(4))
+
+
 def _write_idx_images(path, arr):
     n, h, w = arr.shape
     with open(path, "wb") as f:
