@@ -1,0 +1,9 @@
+"""`python -m sleepshare SUBCOMMAND ...` runs the `sleepshare` command
+line without an installed entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

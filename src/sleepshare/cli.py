@@ -41,8 +41,23 @@ class UsageError(Exception):
 # config plumbing
 
 
+def _finite(s) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {s!r}")
+    return v
+
+
+def _finite_or_inf(s) -> float:
+    """A finite value or +inf (alpha: the idealized limit)."""
+    v = float(s)
+    if not (math.isfinite(v) or v == math.inf):
+        raise ValueError(f"must be finite or inf, got {s!r}")
+    return v
+
+
 def _float_list(s):
-    return [float(v) for v in str(s).split(",") if v != ""]
+    return [_finite(v) for v in str(s).split(",") if v != ""]
 
 
 def _int_list(s):
@@ -84,35 +99,35 @@ SLEEP_IDEAL_SPEC = {
     "iters": (int, 2000),
     "seeds": (int, 10),
     "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
-    "eta_a": (float, 0.5),
-    "eta_b": (float, 1000.0),
+    "eta_a": (_finite, 0.5),
+    "eta_b": (_finite, 1000.0),
     "warmup": (int, 0),
-    "momentum": (float, 0.95),
-    "input_mean": (float, 1.0),
-    "input_std": (float, 1.0),
-    "init_mean": (float, 1.0),
-    "init_std": (float, 1.0),
-    "sigma": (float, 0.0),
-    "alpha": (float, math.inf),
+    "momentum": (_finite, 0.95),
+    "input_mean": (_finite, 1.0),
+    "input_std": (_finite, 1.0),
+    "init_mean": (_finite, 1.0),
+    "init_std": (_finite, 1.0),
+    "sigma": (_finite, 0.0),
+    "alpha": (_finite_or_inf, math.inf),
 }
 
 SLEEP_RATE_SPEC = {
     **SLEEP_IDEAL_SPEC,
-    "alpha": (float, 10.0),
-    "tau_ms": (float, 30.0),
-    "dt_ms": (float, 1.0),
-    "present_ms": (float, 150.0),
+    "alpha": (_finite_or_inf, 10.0),
+    "tau_ms": (_finite, 30.0),
+    "dt_ms": (_finite, 1.0),
+    "present_ms": (_finite, 150.0),
     "iters": (int, 10000),
     "mode": (_choice("ode", "discrete"), "ode"),
     "plasticity": (_choice("continuous", "terminal"), "continuous"),
-    "rate_const": (float, 2.0),
+    "rate_const": (_finite, 2.0),
     "reset_rates": (_bool, False),
-    "bias": (float, 1.0),
+    "bias": (_finite, 1.0),
     "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
-    "eta_a": (float, 3e-4),
-    "eta_b": (float, 2.0),
+    "eta_a": (_finite, 3e-4),
+    "eta_b": (_finite, 2.0),
     "warmup": (int, 50),
-    "momentum": (float, 0.0),
+    "momentum": (_finite, 0.0),
 }
 
 FIXED_POINT_SPEC = {
@@ -122,8 +137,8 @@ FIXED_POINT_SPEC = {
     "d_max": (int, 16),
     "m_factor": (int, 2),
     "gamma": (_float_list, [1e-1, 1e-3]),
-    "alpha": (float, 10.0),
-    "tol": (float, 1e-4),
+    "alpha": (_finite_or_inf, 10.0),
+    "tol": (_finite, 1e-4),
 }
 
 NOISE_FLOOR_SPEC = {
@@ -131,19 +146,19 @@ NOISE_FLOOR_SPEC = {
     "n": (int, 20),
     "d": (int, 9),
     "m": (int, 18),
-    "gamma": (float, 10.0),
+    "gamma": (_finite, 10.0),
     "sigma": (_float_list, [0.1, 0.2, 0.4]),
     "seeds": (int, 10),
-    "a": (float, 16.0),
-    "b": (float, 200.0),
+    "a": (_finite, 16.0),
+    "b": (_finite, 200.0),
     "iters": (int, 300),
-    "slope_a": (float, 0.034),
-    "slope_b": (float, 50.0),
+    "slope_a": (_finite, 0.034),
+    "slope_b": (_finite, 50.0),
     "slope_iters": (int, 3000),
-    "w_init_mean": (float, 0.0),
-    "w_init_std": (float, 1.0),
-    "input_mean": (float, 1.0),
-    "input_std": (float, 1.0),
+    "w_init_mean": (_finite, 0.0),
+    "w_init_std": (_finite, 1.0),
+    "input_mean": (_finite, 1.0),
+    "input_std": (_finite, 1.0),
 }
 
 TRAIN_SPEC = {
@@ -152,20 +167,20 @@ TRAIN_SPEC = {
     "train_size": (int, 512),
     "test_size": (int, 2048),
     "image": (int, 16),
-    "noise": (float, 0.15),
+    "noise": (_finite, 0.15),
     "channels": (int, 8),
     "kernel": (int, 3),
     "epochs": (int, 60),
     "batch_size": (int, 64),
-    "lr": (float, 3e-3),
-    "weight_decay": (float, 1e-4),
+    "lr": (_finite, 3e-3),
+    "weight_decay": (_finite, 1e-4),
     "reps": (int, 16),
     "ws_every": (int, 1),
     "pad": (int, 4),
     "optimizer": (_choice(*trainer.OPTIMIZERS), "adamw"),
     "share_mode": (_choice(*trainer.SHARE_MODES), "instant"),
     "share_iters": (int, 180),
-    "val_fraction": (float, 0.0),
+    "val_fraction": (_finite, 0.0),
     "idx_images": (str, ""),
     "idx_labels": (str, ""),
 }

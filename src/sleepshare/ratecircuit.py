@@ -241,7 +241,11 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const, reset_rates):
                 mean = dev.mean(axis=1)
                 dev -= mean[:, None]
                 dev_end = dev_powers[j] @ dev
-                dec = (1.0 - h * gamma) ** steps
+                try:
+                    dec = (1.0 - h * gamma) ** steps
+                except OverflowError:
+                    raise DivergenceError("weight decay factor overflowed",
+                                          f"presentation {k}") from None
                 if ideal:
                     a_mean_end = dec * mean[1]
                 else:

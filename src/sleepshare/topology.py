@@ -16,15 +16,24 @@ is available because cyclic shift equivariance and the equal-input
 pattern property are exact only without a zero boundary.
 
 `local_forward` works batch-innermost: inputs (H, W, C, B), im2col
-columns (H'*W', C*k*k, B) built by k*k block copies of contiguous
-B-runs, and one position-batched matmul with the position-major weights
-(H'*W', O, C*k*k) (`position_weights`) into outputs (H', W', O, B).
+columns (H'*W', C*k*k, B) and a position-batched matmul with the
+position-major weights (H'*W', O, C*k*k) (`position_weights`) into
+outputs (H', W', O, B). It takes the output rows in blocks of about
+`_BLOCK_BYTES` of columns: one strided copy from the padded plane fills
+a block and the block's matmul reads it while it is in cache. Each
+position's product is the same gemm on the same operands in the same
+layout whatever the blocking, so the bits do not depend on it. A caller
+that keeps the columns (for a backward pass) gets them whole; one that
+does not passes keep_cols=False and every block reuses one block-sized
+scratch. A `Workspace` holds the padded plane, the columns and the
+output from call to call, one buffer per key and role, re-made only when
+a shape changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +46,7 @@ __all__ = [
     "GridPartition",
     "RepeatingPattern",
     "local_forward",
+    "Workspace",
     "lc_forward",
     "conv_forward",
     "tile_kernel",
@@ -177,41 +187,97 @@ def position_weights(weights: np.ndarray, height: int, width: int) -> np.ndarray
     return np.ascontiguousarray(flat)
 
 
-def _im2col(x: np.ndarray, kernel: int, pad: int, mode: PaddingMode = "zeros") -> np.ndarray:
-    """The receptive fields of a batch-innermost (H, W, C, B) input as
-    contiguous columns (H', W', C, k, k, B), built by k*k block copies
-    from the padded plane, each moving contiguous runs of B values."""
+class Workspace:
+    """Arrays reused from call to call, one per key. `buffer` re-makes a
+    key's array only when the shape asked for changes, so what a caller
+    read from a buffer stays valid until the next request for its key."""
+
+    def __init__(self):
+        self._arrays: Dict[Hashable, np.ndarray] = {}
+
+    def buffer(self, key: Hashable, shape: Tuple[int, ...], zeroed: bool = False) -> np.ndarray:
+        """The array for key; a new one starts zero-filled if zeroed, and
+        cells that no caller writes stay zero."""
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape != shape:
+            arr = np.zeros(shape) if zeroed else np.empty(shape)
+            self._arrays[key] = arr
+        return arr
+
+
+# Bytes of im2col columns per block, which takes as many whole output
+# rows as fit (at least one): a block's columns are still in cache when
+# its matmul reads them. Budgets from 192 KiB to 1 MiB timed alike at the
+# trainer's shapes (batch 64 and 256); unblocked was slowest.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _padded_plane(ws: Workspace, key, x: np.ndarray, pad: int, mode: PaddingMode) -> np.ndarray:
+    """The batch-innermost (H, W, C, B) input padded on its two spatial
+    axes, in the workspace. The key holds the mode and pad, so a zero
+    plane's border, written by nobody, stays zero."""
     if mode not in ("zeros", "circular"):
         raise ValueError(f"unknown padding mode {mode!r}")
     h, w, c, b = x.shape
+    xp = ws.buffer((key, "plane", mode, pad), (h + 2 * pad, w + 2 * pad, c, b),
+                   zeroed=True)
     if mode == "circular":
-        xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0), (0, 0)), mode="wrap")
+        xp[...] = np.pad(x, ((pad, pad), (pad, pad), (0, 0), (0, 0)), mode="wrap")
     else:
-        xp = np.zeros((h + 2 * pad, w + 2 * pad, c, b))
         xp[pad:pad + h, pad:pad + w] = x
-    ho, wo = h + 2 * pad - kernel + 1, w + 2 * pad - kernel + 1
-    cols = np.empty((ho, wo, c, kernel, kernel, b))
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, :, i, j] = xp[i:i + ho, j:j + wo]
-    return cols
+    return xp
 
 
 def local_forward(x: np.ndarray, weights: np.ndarray, pad: int,
-                  mode: PaddingMode = "zeros") -> Tuple[np.ndarray, np.ndarray]:
+                  mode: PaddingMode = "zeros", *, workspace: Optional[Workspace] = None,
+                  key: Hashable = None, keep_cols: bool = True
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Batched forward of a layer over batch-innermost inputs x
     (H, W, C, B): each output position applies its own kernel to its
-    receptive field, as one position-batched matmul of the position-major
+    receptive field, as a position-batched matmul of the position-major
     weights (H'*W', O, C*k*k) with the columns (H'*W', C*k*k, B). weights
     are per-position (O, C, H', W', k, k) or one shared (O, C, k, k)
     kernel, which enters as the tied LC layer's weights, so a conv layer
     and the LC layer tied to its kernel multiply the same operands.
-    Returns the output (H', W', O, B) and the columns."""
-    cols = _im2col(x, weights.shape[-1], pad, mode)
-    ho, wo, c, k, _, b = cols.shape
-    cols = cols.reshape(ho * wo, c * k * k, b)
-    out = np.matmul(position_weights(weights, ho, wo), cols)
-    return out.reshape(ho, wo, weights.shape[0], b), cols
+
+    The columns are built and multiplied in blocks of output rows
+    (_BLOCK_BYTES): one copy from the padded plane fills a block, and its
+    matmul reads it while it is in cache. Every position's product is the same
+    gemm on the same operands in the same layout, so the block size does
+    not change a bit.
+
+    Returns the output (H', W', O, B) and, if keep_cols, the columns
+    (H'*W', C*k*k, B); otherwise the blocks share one block-sized scratch
+    and None is returned in their place. With a workspace, the output,
+    the padded plane and the columns are its buffers under `key`: valid
+    until the next call with that key and the same keep_cols. A call
+    without keep_cols uses none of the buffers a call with it returns.
+    Without a workspace every buffer is new.
+    """
+    ws = Workspace() if workspace is None else workspace
+    role = (key, "cached" if keep_cols else "scratch")
+    xp = _padded_plane(ws, role, x, pad, mode)
+    h, w, c, b = x.shape
+    o, k = weights.shape[0], weights.shape[-1]
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    # windows[y, x, c, i, j, b] = xp[y + i, x + j, c, b], a strided view
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (k, k), axis=(0, 1)).transpose(0, 1, 2, 4, 5, 3)
+    rows = max(1, _BLOCK_BYTES // max(1, wo * c * k * k * b * xp.itemsize))
+    if keep_cols:
+        cols = ws.buffer((role, "cols"), (ho, wo, c, k, k, b))
+    else:
+        cols = ws.buffer((role, "block"), (min(rows, ho), wo, c, k, k, b))
+    pw = position_weights(weights, ho, wo)
+    out = ws.buffer((role, "out"), (ho * wo, o, b))
+    for y0 in range(0, ho, rows):
+        y1 = min(y0 + rows, ho)
+        block = cols[y0:y1] if keep_cols else cols[:y1 - y0]
+        block[...] = windows[y0:y1]
+        np.matmul(pw[y0 * wo:y1 * wo], block.reshape(-1, c * k * k, b),
+                  out=out[y0 * wo:y1 * wo])
+    out = out.reshape(ho, wo, o, b)
+    return out, cols.reshape(ho * wo, c * k * k, b) if keep_cols else None
 
 
 def lc_forward(layer: LocalLayer, x: np.ndarray) -> np.ndarray:

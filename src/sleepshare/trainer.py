@@ -21,6 +21,18 @@ per-position einsum used before passed to matmul, so every sum runs in
 the same order: logits, loss and gradients keep the einsum's bits
 (tests/test_trainer.py keeps it as the oracle). Layer 1's input
 gradient is not formed.
+
+Buffers: each LayerStack owns one `topology.Workspace`, and its layer
+forwards write the padded planes, the columns and the layer outputs
+there, one buffer per layer and role. A training forward keeps each
+layer's columns whole for backward; an evaluation forward
+(`forward(x, cache=False)`, as `_evaluate` runs it) builds them block by
+block in one block-sized scratch, keeps no mask, columns or output for
+backward and returns no cache. A training cache is valid until the
+stack's next training forward, which reuses its buffers; backward
+raises on a stale one. Evaluation forwards touch none of them, so they
+may run between a forward and its backward. Stacks share no buffers, so
+the runs of `compare --jobs N` on separate threads stay independent.
 """
 
 from __future__ import annotations
@@ -35,8 +47,8 @@ from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import (Schedule, SleepConfig, kernel_grid_neg_log_snr,
                       layer_sleep_run, share_kernel_grid_means)
-from .topology import (LocalLayer, kaiming_std, local_forward, position_weights,
-                       tile_kernel)
+from .topology import (LocalLayer, Workspace, kaiming_std, local_forward,
+                       position_weights, tile_kernel)
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
@@ -255,6 +267,10 @@ class LayerStack:
             "head_w": gen.normal(0, 1.0 / np.sqrt(channels), size=(channels, n_classes)),
             "head_b": np.zeros(n_classes),
         }
+        # the layer op's buffers, and the count of caching forwards that
+        # tells backward whether a cache's buffers are still its own
+        self._workspace = Workspace()
+        self._forwards = 0
 
     @staticmethod
     def _grid_tied(gen, std, out_c, in_c, side, k) -> np.ndarray:
@@ -269,8 +285,10 @@ class LayerStack:
     def lc_layer_names(self) -> List[str]:
         return ["layer1", "layer2"] if self.kind == "lc" else []
 
-    def _layer_forward(self, x: np.ndarray, kernels: np.ndarray):
-        return local_forward(x, kernels, self.kernel // 2)
+    def _layer_forward(self, x: np.ndarray, kernels: np.ndarray, *, layer: str,
+                       cache: bool = True):
+        return local_forward(x, kernels, self.kernel // 2, workspace=self._workspace,
+                             key=layer, keep_cols=cache)
 
     def _layer_backward(self, grad_out, win, kernels, x_shape, input_grad: bool = True):
         """Gradients of a layer from its output gradient (H, W, O, B) and
@@ -297,25 +315,34 @@ class LayerStack:
         contrib = np.matmul(position_weights(kernels, h, w).transpose(0, 2, 1), g)
         return dk, _scatter_windows(contrib, x_shape, k // 2)
 
-    def forward(self, x: np.ndarray):
-        """Logits of a (B, C, H, W) batch; the layers run batch-innermost
-        (H, W, C, B) up to the global pool."""
+    def forward(self, x: np.ndarray, cache: bool = True):
+        """Logits of a (B, C, H, W) batch and the cache backward reads;
+        the layers run batch-innermost (H, W, C, B) up to the global pool.
+        With cache=False (evaluation) the columns go through a block-sized
+        scratch, no cache is built and None is returned in its place.
+        Either way the activations live in the stack's workspace: a cache
+        is valid until the next caching forward, which backward checks,
+        and a forward without one touches none of its buffers."""
         x = x.transpose(2, 3, 1, 0)
-        r1, cols1 = self._layer_forward(x, self.params["layer1"])
+        r1, cols1 = self._layer_forward(x, self.params["layer1"], layer="layer1", cache=cache)
         np.maximum(r1, 0.0, out=r1)
         p1 = _avgpool2(r1)
-        # backward needs only where r1 > 0 (exactly where a1 > 0)
-        mask1 = r1 > 0
-        del r1
-        r2, cols2 = self._layer_forward(p1, self.params["layer2"])
+        r2, cols2 = self._layer_forward(p1, self.params["layer2"], layer="layer2", cache=cache)
         np.maximum(r2, 0.0, out=r2)
         pooled = r2.mean(axis=(0, 1)).T
         logits = pooled @ self.params["head_w"] + self.params["head_b"]
-        cache = dict(x_shape=x.shape, cols1=cols1, mask1=mask1, p1_shape=p1.shape,
-                     cols2=cols2, r2=r2, pooled=pooled)
-        return logits, cache
+        if not cache:
+            return logits, None
+        self._forwards += 1
+        # backward needs only where r1 > 0 (exactly where a1 > 0)
+        return logits, dict(forward=self._forwards, x_shape=x.shape, cols1=cols1,
+                            mask1=r1 > 0, p1_shape=p1.shape, cols2=cols2, r2=r2,
+                            pooled=pooled)
 
     def backward(self, grad_logits: np.ndarray, cache) -> Dict[str, np.ndarray]:
+        if cache["forward"] != self._forwards:
+            raise RuntimeError(f"stale cache: it is from caching forward {cache['forward']}, "
+                               f"and forward {self._forwards} has reused its buffers")
         grads: Dict[str, np.ndarray] = {}
         grads["head_w"] = cache["pooled"].T @ grad_logits
         grads["head_b"] = grad_logits.sum(axis=0)
@@ -471,17 +498,23 @@ class TrainHistory:
         return rows[-1][2]
 
 
-def _evaluate(stack: LayerStack, images: np.ndarray, labels: np.ndarray,
+def _evaluate(stack: LayerStack, images: np.ndarray, labels: np.ndarray, where: str = "",
               batch: int = 256) -> Tuple[float, float]:
+    """Accuracy and mean loss over a split in batches, by forwards that
+    keep no cache; a non-finite loss raises DivergenceError naming
+    `where`."""
     hits = 0
     losses = []
     for i in range(0, len(labels), batch):
         xb, yb = images[i:i + batch], labels[i:i + batch]
-        logits, _ = stack.forward(xb)
+        logits, _ = stack.forward(xb, cache=False)
         hits += int(np.sum(logits.argmax(axis=1) == yb))
         loss, _ = softmax_cross_entropy(logits, yb)
         losses.append(loss * len(yb))
-    return hits / len(labels), float(np.sum(losses) / len(labels))
+    loss = float(np.sum(losses) / len(labels))
+    if not np.isfinite(loss):
+        raise DivergenceError("non-finite loss", where)
+    return hits / len(labels), loss
 
 
 def _dynamic_share(stack: LayerStack, name: str, iters: int, rng_gen) -> None:
@@ -498,7 +531,15 @@ def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
           gen: np.random.Generator, val: Optional[Dataset] = None) -> TrainHistory:
     """Run the full schedule; every ws_every_n batches (when set) each LC
     layer is projected to its grid means with the optimizer state
-    projected alongside, logging -log snr just before and after."""
+    projected alongside, logging -log snr just before and after. A
+    non-finite loss, in a training step or an evaluation, raises
+    DivergenceError naming where."""
+    # a diverging run overflows before its loss check names where
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train(stack, data, test, config, gen, val)
+
+
+def _train(stack, data, test, config, gen, val) -> TrainHistory:
     if config.optimizer == "adamw":
         opt = AdamW(stack.params, config.lr, config.weight_decay,
                     config.beta1, config.beta2, config.eps)
@@ -540,12 +581,12 @@ def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
                     opt.share_state(name, stack.kernel)
                     post = kernel_grid_neg_log_snr(stack.params[name], stack.kernel)
                     history.events.append((nb, name, pre, post))
-        tr_acc, tr_loss = _evaluate(stack, data.images, data.labels)
+        tr_acc, tr_loss = _evaluate(stack, data.images, data.labels, f"epoch {epoch}, train")
         history.metrics.append((epoch, "train", tr_acc, tr_loss))
         if val is not None and len(val):
-            v_acc, v_loss = _evaluate(stack, val.images, val.labels)
+            v_acc, v_loss = _evaluate(stack, val.images, val.labels, f"epoch {epoch}, val")
             history.metrics.append((epoch, "val", v_acc, v_loss))
-        te_acc, te_loss = _evaluate(stack, test.images, test.labels)
+        te_acc, te_loss = _evaluate(stack, test.images, test.labels, f"epoch {epoch}, test")
         history.metrics.append((epoch, "test", te_acc, te_loss))
     return history
 

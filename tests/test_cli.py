@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +335,74 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 def test_missing_subcommand_is_usage_error():
     assert run() == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["sleep-ideal", *SMALL_SLEEP, "--eta-a", "nan"],
+    ["sleep-rate", *SMALL_SLEEP, "--warmup", "0", "--eta-a", "nan"],
+    ["sleep-rate", *SMALL_SLEEP, "--alpha", "-inf"],
+    ["fixed-point", "--instances", "1", "--tol", "inf"],
+    ["noise-floor", "--seeds", "1", "--iters", "5", "--slope-iters", "20",
+     "--sigma", "0.1,nan"],
+    ["train", "--arm", "lc", *TINY_TRAIN, "--lr", "nan"],
+    ["compare", "--arms", "lc", "--seeds", "1", *TINY_TRAIN, "--weight-decay", "inf"],
+], ids=["sleep-ideal", "sleep-rate", "sleep-rate-alpha", "fixed-point", "noise-floor",
+        "train", "compare"])
+def test_rejects_non_finite_values(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_rejects_non_finite_config_and_replay_values(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("lr=inf\n")
+    out = tmp_path / "o"
+    assert run("train", "--config", str(cfgfile), "--out", str(out)) == cli.EXIT_USAGE
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("subcommand=sleep-ideal\nseed=0\ncfg.gamma=0.01,nan\n")
+    assert run("sleep-ideal", "--replay", str(manifest), "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["sleep-ideal", "sleep-rate"])
+def test_alpha_inf_is_accepted(tmp_path, sub):
+    out = tmp_path / "o"
+    assert run(sub, *SMALL_SLEEP, "--alpha", "inf", "--out", str(out)) == 0
+    assert read_manifest(out / "manifest.txt")["cfg.alpha"] == "inf"
+
+
+def test_rate_decay_overflow_names_presentation(tmp_path, capfd):
+    # (1 - eta * gamma)^steps = (-99)^150 overflows a float
+    out = tmp_path / "o"
+    assert run("sleep-rate", "--k", "3", "--gamma", "1", "--seeds", "1", "--iters", "5",
+               "--schedule", "constant", "--eta-a", "100", "--warmup", "0",
+               "--out", str(out)) == cli.EXIT_DIVERGENCE
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: ")
+    assert "[presentation 0]" in err[0]
+    assert (out / "manifest.txt").exists()
+
+
+def test_train_divergence_exits_3_without_warnings(tmp_path, capfd):
+    # the one step at lr 1e300 leaves weights whose logits are not finite
+    out = tmp_path / "o"
+    assert run("train", "--arm", "lc", "--epochs", "1", "--lr", "1e300",
+               "--train-size", "64", "--test-size", "64",
+               "--out", str(out)) == cli.EXIT_DIVERGENCE
+    err = capfd.readouterr().err.splitlines()
+    assert err == ["numerical failure: non-finite loss [epoch 0, train]"]
+    assert (out / "manifest.txt").exists()
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sleepshare", "fixed-point", "--instances", "1",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "max_rel_error" in proc.stdout
+    assert (out / "manifest.txt").exists()

@@ -1,5 +1,6 @@
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sleepshare as ss
+from sleepshare import topology
+from sleepshare.errors import DivergenceError
 from sleepshare.mathcore import RngStream
 from sleepshare.trainer import (AdamW, Dataset, LayerStack, SgdMomentum,
-                                TrainConfig, _assemble, augment_translate, build_batch,
-                                forward_backward, read_idx, load_idx_pair,
+                                TrainConfig, _assemble, _evaluate, augment_translate,
+                                build_batch, forward_backward, read_idx, load_idx_pair,
                                 run_experiment, shape_masks,
                                 softmax_cross_entropy, train)
 from sleepshare.topology import padded_windows, tile_kernel
@@ -536,10 +539,72 @@ def test_layer_op_bitwise_at_benchmark_shapes(kind, batch):
     stack, x, labels = _stack_and_batch(kind, batch, 1, 8, 3, 16, batch)
     want_logits, want_loss, want_grads = _oracle_forward_backward(stack, x, labels)
     assert np.array_equal(stack.forward(x)[0], want_logits)
+    assert np.array_equal(stack.forward(x, cache=False)[0], want_logits)
     loss, grads = forward_backward(stack, x, labels)
     assert loss == want_loss
     for name, want in want_grads.items():
         assert np.array_equal(grads[name], want), name
+
+
+# Layer 2's output height (image // 2) is odd at 2, 6, 10 and 14, and
+# layer 1's height is not a multiple of 4 at 6, 10 and 14, so under small
+# block budgets the last block of a layer holds fewer rows than the rest.
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["lc", "conv"]), batch=st.integers(1, 6),
+       in_ch=st.integers(1, 3), channels=st.integers(1, 4),
+       kernel=st.sampled_from([1, 3, 5]), image=st.sampled_from([2, 6, 10, 12, 14]),
+       block_bytes=st.integers(1, 40000), seed=st.integers(0, 2**16))
+@example(kind="conv", batch=5, in_ch=1, channels=3, kernel=3, image=10,
+         block_bytes=3000, seed=1)
+def test_no_cache_forward_matches_caching_forward(kind, batch, in_ch, channels, kernel,
+                                                  image, block_bytes, seed):
+    stack, x, _ = _stack_and_batch(kind, batch, in_ch, channels, kernel, image, seed)
+    # one block per layer: the single position-batched matmul
+    with mock.patch.object(topology, "_BLOCK_BYTES", 2**62):
+        whole, _ = stack.forward(x)
+    with mock.patch.object(topology, "_BLOCK_BYTES", block_bytes):
+        cached, cache = stack.forward(x)
+        logits, none = stack.forward(x, cache=False)
+    assert none is None and cache is not None
+    assert np.array_equal(cached, whole)
+    assert np.array_equal(logits, whole)
+
+
+@pytest.mark.parametrize("kind", ["lc", "conv"])
+def test_evaluation_between_forward_and_backward_keeps_gradients(kind):
+    stack, x, labels = _stack_and_batch(kind, 6, 1, 3, 3, 8, 21)
+    want_loss, want_grads = forward_backward(stack, x, labels)
+    logits, cache = stack.forward(x)
+    loss, grad_logits = softmax_cross_entropy(logits, labels)
+    # evaluation at the training batch's shapes (a shared buffer would be
+    # overwritten in place) and at others, with a partial last batch
+    gen = np.random.default_rng(22)
+    stack.forward(gen.normal(size=x.shape), cache=False)
+    _evaluate(stack, gen.normal(size=(9, 1, 8, 8)), np.zeros(9, dtype=int), batch=4)
+    grads = stack.backward(grad_logits, cache)
+    assert loss == want_loss
+    for name, want in want_grads.items():
+        assert np.array_equal(grads[name], want), name
+
+
+def test_backward_on_stale_cache_raises():
+    stack, x, labels = _stack_and_batch("lc", 4, 1, 2, 3, 8, 23)
+    logits, cache = stack.forward(x)
+    _, grad_logits = softmax_cross_entropy(logits, labels)
+    # another training forward reuses the columns the first cache holds
+    logits2, cache2 = stack.forward(x[::-1])
+    with pytest.raises(RuntimeError, match="stale cache"):
+        stack.backward(grad_logits, cache)
+    _, grad2 = softmax_cross_entropy(logits2, labels[::-1])
+    stack.backward(grad2, cache2)
+
+
+def test_evaluation_divergence_names_epoch_and_split():
+    # one optimizer step of size 1e300 per weight, then the first
+    # evaluation's logits are not finite
+    diverging = dict(SMALL, train_size=16, lr=1e300)
+    with pytest.raises(DivergenceError, match=r"non-finite loss \[epoch 0, train\]"):
+        run_experiment("lc", 0, **diverging)
 
 
 def test_training_learns_above_chance():
