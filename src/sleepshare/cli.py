@@ -56,16 +56,35 @@ def _finite_or_inf(s) -> float:
     return v
 
 
-def _float_list(s):
-    return [_finite(v) for v in str(s).split(",") if v != ""]
+def _int_min(lo: int, step: int = 1):
+    """An integer >= lo; with step 2, one of lo's parity (odd kernels,
+    even images)."""
+    what = "an integer" if step == 1 else f"an {'odd' if lo % 2 else 'even'} integer"
+
+    def parse(s):
+        v = int(s)
+        if v < lo or (v - lo) % step:
+            raise ValueError(f"must be {what} >= {lo}, got {s!r}")
+        return v
+    return parse
 
 
-def _int_list(s):
-    return [int(v) for v in str(s).split(",") if v != ""]
+def _fraction(s) -> float:
+    """A finite value in [0, 1)."""
+    v = _finite(s)
+    if not 0.0 <= v < 1.0:
+        raise ValueError(f"must be in [0, 1), got {s!r}")
+    return v
 
 
-def _str_list(s):
-    return [v for v in str(s).split(",") if v != ""]
+def _list_of(item):
+    def parse(s):
+        return [item(v) for v in str(s).split(",") if v != ""]
+    return parse
+
+
+_float_list = _list_of(_finite)
+_str_list = _list_of(str)
 
 
 def _choice(*options):
@@ -88,20 +107,20 @@ def _bool(s):
 
 COMMON_SPEC = {
     "seed": (int, 0),
-    "jobs": (int, 1),
+    "jobs": (_int_min(1), 1),
 }
 
 SLEEP_IDEAL_SPEC = {
     **COMMON_SPEC,
-    "n": (int, 100),
-    "k": (_int_list, [3, 6, 9]),
+    "n": (_int_min(2), 100),
+    "k": (_list_of(_int_min(1)), [3, 6, 9]),
     "gamma": (_float_list, [1e-2, 1e-3]),
-    "iters": (int, 2000),
-    "seeds": (int, 10),
+    "iters": (_int_min(0), 2000),
+    "seeds": (_int_min(1), 10),
     "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
     "eta_a": (_finite, 0.5),
     "eta_b": (_finite, 1000.0),
-    "warmup": (int, 0),
+    "warmup": (_int_min(0), 0),
     "momentum": (_finite, 0.95),
     "input_mean": (_finite, 1.0),
     "input_std": (_finite, 1.0),
@@ -117,7 +136,7 @@ SLEEP_RATE_SPEC = {
     "tau_ms": (_finite, 30.0),
     "dt_ms": (_finite, 1.0),
     "present_ms": (_finite, 150.0),
-    "iters": (int, 10000),
+    "iters": (_int_min(0), 10000),
     "mode": (_choice("ode", "discrete"), "ode"),
     "plasticity": (_choice("continuous", "terminal"), "continuous"),
     "rate_const": (_finite, 2.0),
@@ -126,16 +145,16 @@ SLEEP_RATE_SPEC = {
     "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
     "eta_a": (_finite, 3e-4),
     "eta_b": (_finite, 2.0),
-    "warmup": (int, 50),
+    "warmup": (_int_min(0), 50),
     "momentum": (_finite, 0.0),
 }
 
 FIXED_POINT_SPEC = {
     **COMMON_SPEC,
-    "instances": (int, 50),
-    "n_max": (int, 20),
-    "d_max": (int, 16),
-    "m_factor": (int, 2),
+    "instances": (_int_min(1), 50),
+    "n_max": (_int_min(2), 20),
+    "d_max": (_int_min(2), 16),
+    "m_factor": (_int_min(1), 2),
     "gamma": (_float_list, [1e-1, 1e-3]),
     "alpha": (_finite_or_inf, 10.0),
     "tol": (_finite, 1e-4),
@@ -143,18 +162,19 @@ FIXED_POINT_SPEC = {
 
 NOISE_FLOOR_SPEC = {
     **COMMON_SPEC,
-    "n": (int, 20),
-    "d": (int, 9),
-    "m": (int, 18),
+    "n": (_int_min(2), 20),
+    "d": (_int_min(1), 9),
+    "m": (_int_min(1), 18),
     "gamma": (_finite, 10.0),
     "sigma": (_float_list, [0.1, 0.2, 0.4]),
-    "seeds": (int, 10),
+    "seeds": (_int_min(1), 10),
     "a": (_finite, 16.0),
     "b": (_finite, 200.0),
-    "iters": (int, 300),
+    "iters": (_int_min(1), 300),
     "slope_a": (_finite, 0.034),
     "slope_b": (_finite, 50.0),
-    "slope_iters": (int, 3000),
+    # the log-log fit needs two points: sharing.loglog_slope's window
+    "slope_iters": (_int_min(3), 3000),
     "w_init_mean": (_finite, 0.0),
     "w_init_std": (_finite, 1.0),
     "input_mean": (_finite, 1.0),
@@ -164,23 +184,24 @@ NOISE_FLOOR_SPEC = {
 TRAIN_SPEC = {
     **COMMON_SPEC,
     "arm": (str, "lc"),
-    "train_size": (int, 512),
-    "test_size": (int, 2048),
-    "image": (int, 16),
+    "train_size": (_int_min(1), 512),
+    "test_size": (_int_min(1), 2048),
+    # a 5x5 glyph fits, and one 2x2 pool runs between the layers
+    "image": (_int_min(6, step=2), 16),
     "noise": (_finite, 0.15),
-    "channels": (int, 8),
-    "kernel": (int, 3),
-    "epochs": (int, 60),
-    "batch_size": (int, 64),
+    "channels": (_int_min(1), 8),
+    "kernel": (_int_min(1, step=2), 3),
+    "epochs": (_int_min(1), 60),
+    "batch_size": (_int_min(1), 64),
     "lr": (_finite, 3e-3),
     "weight_decay": (_finite, 1e-4),
-    "reps": (int, 16),
-    "ws_every": (int, 1),
-    "pad": (int, 4),
+    "reps": (_int_min(1), 16),
+    "ws_every": (_int_min(0), 1),
+    "pad": (_int_min(0), 4),
     "optimizer": (_choice(*trainer.OPTIMIZERS), "adamw"),
     "share_mode": (_choice(*trainer.SHARE_MODES), "instant"),
-    "share_iters": (int, 180),
-    "val_fraction": (_finite, 0.0),
+    "share_iters": (_int_min(0), 180),
+    "val_fraction": (_fraction, 0.0),
     "idx_images": (str, ""),
     "idx_labels": (str, ""),
 }
@@ -188,7 +209,7 @@ TRAIN_SPEC = {
 COMPARE_SPEC = {
     **TRAIN_SPEC,
     "arms": (_str_list, ["conv", "lc", "lc-reps:16", "lc-ws:1"]),
-    "seeds": (int, 3),
+    "seeds": (_int_min(1), 3),
     "full": (_bool, False),
 }
 COMPARE_SPEC.pop("arm")
@@ -559,18 +580,6 @@ def _write_history(out: RunDir, prefix: str, history: trainer.TrainHistory) -> N
                   [(b, n, pre, post) for (b, n, pre, post) in history.events])
 
 
-def _experiment_kwargs(cfg) -> Dict[str, object]:
-    return dict(
-        train_size=cfg["train_size"], test_size=cfg["test_size"],
-        image=cfg["image"], noise=cfg["noise"], channels=cfg["channels"],
-        kernel=cfg["kernel"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        lr=cfg["lr"], weight_decay=cfg["weight_decay"], optimizer=cfg["optimizer"],
-        share_mode=cfg["share_mode"], share_iters=cfg["share_iters"],
-        val_fraction=cfg["val_fraction"],
-        idx_images=cfg["idx_images"] or None, idx_labels=cfg["idx_labels"] or None,
-    )
-
-
 def _parse_arm(spec: str) -> Tuple[str, int]:
     if ":" in spec:
         arm, param = spec.split(":", 1)
@@ -578,19 +587,65 @@ def _parse_arm(spec: str) -> Tuple[str, int]:
             value = int(param)
         except ValueError:
             raise UsageError(f"bad arm parameter in {spec!r}")
+        if value < 1:
+            raise UsageError(f"arm parameter in {spec!r} must be >= 1")
     else:
         arm, value = spec, 0
     if arm not in ("conv", "lc", "lc-reps", "lc-ws"):
         raise UsageError(f"unknown arm {arm!r}")
+    if value and arm in ("conv", "lc"):
+        raise UsageError(f"arm {arm!r} takes no parameter, got {spec!r}")
     return arm, value
 
 
+def _idx_image_side(cfg) -> int:
+    """The image side a training run will see: the IDX images' side,
+    read and checked here so that a bad pair fails before any run, or
+    the synthetic --image."""
+    paths = (cfg["idx_images"], cfg["idx_labels"])
+    if not any(paths):
+        return cfg["image"]
+    if not all(paths):
+        raise UsageError("--idx-images and --idx-labels go together")
+    try:
+        images, _ = trainer.read_idx_pair(*paths)
+    except (OSError, ValueError) as e:
+        raise UsageError(str(e))
+    n, h, w = images.shape
+    if h != w or h % 2:
+        raise UsageError(f"{paths[0]}: images must be square with an even side, got {h}x{w}")
+    if cfg["train_size"] >= n:
+        raise UsageError(f"{paths[0]} holds {n} images: --train-size {cfg['train_size']} "
+                         "leaves none to test on")
+    return h
+
+
+def _arm_kwargs(cfg, arm_spec: str, image: int) -> Tuple[str, Dict[str, object]]:
+    """`trainer.run_experiment`'s arm and keywords for one arm spec,
+    checked against the batch and layer sizes before any run starts."""
+    arm, param = _parse_arm(arm_spec)
+    reps = param or cfg["reps"]
+    if arm == "lc-reps" and cfg["batch_size"] % reps:
+        raise UsageError(f"{arm_spec}: reps ({reps}) must divide the batch size "
+                         f"({cfg['batch_size']})")
+    if arm == "lc-ws" and cfg["kernel"] > image // 2:
+        # every one of layer 2's k*k sharing grids needs a position
+        raise UsageError(f"{arm_spec}: kernel ({cfg['kernel']}) must be <= half the "
+                         f"image side ({image})")
+    return arm, dict(
+        train_size=cfg["train_size"], test_size=cfg["test_size"],
+        image=cfg["image"], noise=cfg["noise"], channels=cfg["channels"],
+        kernel=cfg["kernel"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+        lr=cfg["lr"], weight_decay=cfg["weight_decay"], optimizer=cfg["optimizer"],
+        share_mode=cfg["share_mode"], share_iters=cfg["share_iters"],
+        val_fraction=cfg["val_fraction"],
+        idx_images=cfg["idx_images"] or None, idx_labels=cfg["idx_labels"] or None,
+        reps=reps, ws_every=param or cfg["ws_every"], pad=cfg["pad"],
+    )
+
+
 def cmd_train(cfg, out: RunDir) -> int:
-    arm, param = _parse_arm(cfg["arm"])
-    kwargs = _experiment_kwargs(cfg)
-    kwargs["reps"] = param or cfg["reps"]
-    kwargs["ws_every"] = param or cfg["ws_every"]
-    kwargs["pad"] = cfg["pad"]
+    arm, kwargs = _arm_kwargs(cfg, cfg["arm"], _idx_image_side(cfg))
     history = trainer.run_experiment(arm, cfg["seed"], **kwargs)
     _write_history(out, "", history)
     print(f"{cfg['arm']} seed {cfg['seed']}: final test accuracy "
@@ -600,15 +655,13 @@ def cmd_train(cfg, out: RunDir) -> int:
 
 def cmd_compare(cfg, out: RunDir) -> int:
     arms = FULL_MATRIX if cfg["full"] else cfg["arms"]
+    image = _idx_image_side(cfg)
+    runs = {a: _arm_kwargs(cfg, a, image) for a in arms}
     cells = [(a, s) for a in arms for s in range(cfg["seeds"])]
 
     def run(cell):
         arm_spec, s = cell
-        arm, param = _parse_arm(arm_spec)
-        kwargs = _experiment_kwargs(cfg)
-        kwargs["reps"] = param or cfg["reps"]
-        kwargs["ws_every"] = param or cfg["ws_every"]
-        kwargs["pad"] = cfg["pad"]
+        arm, kwargs = runs[arm_spec]
         history = trainer.run_experiment(arm, cfg["seed"] + s, **kwargs)
         tag = arm_spec.replace(":", "")
         _write_history(out, f"{tag}_s{s}_", history)

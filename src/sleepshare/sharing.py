@@ -400,6 +400,14 @@ def descent_step_cap(inputs: np.ndarray, gamma: float) -> float:
     return 1.0 / (lam + gamma)
 
 
+def _averaged_gradient(w: np.ndarray, w0: np.ndarray, cov: np.ndarray, c: float,
+                       gamma: float) -> np.ndarray:
+    """Gradient of the averaged objective at w, anchored at w0, with
+    input covariance cov and inhibition coefficient c; zero at the
+    closed-form fixed points."""
+    return (w - c * w.mean(axis=-2, keepdims=True)) @ cov + gamma * (w - w0)
+
+
 def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
                        alpha: float = math.inf, eta: Optional[float] = None,
                        tol: float = 1e-13, max_iters: int = 200_000) -> np.ndarray:
@@ -415,7 +423,7 @@ def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
         eta = descent_step_cap(inputs, gamma)
     scale = max(1.0, float(np.abs(w).max()))
     for _ in range(max_iters):
-        grad = (w - c * w.mean(axis=-2, keepdims=True)) @ cov + gamma * (w - w0)
+        grad = _averaged_gradient(w, w0, cov, c, gamma)
         w -= eta * grad
         if np.abs(grad).max() * eta < tol * scale:
             break

@@ -54,7 +54,7 @@ __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
     "shape_masks", "augment_translate", "build_batch",
     "forward_backward", "AdamW", "SgdMomentum", "OPTIMIZERS", "SHARE_MODES",
-    "train", "run_experiment", "read_idx", "load_idx_pair",
+    "train", "run_experiment", "read_idx", "read_idx_pair", "load_idx_pair",
 ]
 
 OPTIMIZERS = ("adamw", "sgd")
@@ -111,6 +111,8 @@ def read_idx(path: str) -> np.ndarray:
         raise ValueError(f"{path}: truncated IDX header")
     magic = struct.unpack(">I", raw[:4])[0]
     if magic == 0x00000803:
+        if len(raw) < 16:
+            raise ValueError(f"{path}: truncated IDX image header")
         n, h, w = struct.unpack(">III", raw[4:16])
         data = np.frombuffer(raw, dtype=np.uint8, offset=16)
         if data.size != n * h * w:
@@ -125,13 +127,19 @@ def read_idx(path: str) -> np.ndarray:
     raise ValueError(f"{path}: unknown IDX magic 0x{magic:08x}")
 
 
-def load_idx_pair(image_path: str, label_path: str) -> Dataset:
+def read_idx_pair(image_path: str, label_path: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The (n, H, W) images and (n,) labels of an IDX pair, as stored."""
     imgs = read_idx(image_path)
     labels = read_idx(label_path)
     if imgs.ndim != 3:
         raise ValueError(f"{image_path} does not contain images")
     if labels.ndim != 1 or len(labels) != len(imgs):
         raise ValueError("image/label counts differ")
+    return imgs, labels
+
+
+def load_idx_pair(image_path: str, label_path: str) -> Dataset:
+    imgs, labels = read_idx_pair(image_path, label_path)
     x = imgs.astype(np.float64)[:, None, :, :] / 255.0
     x -= x.mean()
     return Dataset(images=x, labels=labels.astype(np.int64), mean_value=0.0)

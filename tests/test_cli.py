@@ -1,12 +1,15 @@
 import csv
 import hashlib
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sleepshare import cli
@@ -406,3 +409,123 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "max_rel_error" in proc.stdout
     assert (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise-floor", "--m", "0"],
+    ["noise-floor", "--slope-iters", "2"],
+    ["noise-floor", "--iters", "0"],
+    ["sleep-ideal", "--seeds", "0"],
+    ["sleep-ideal", "--iters", "-5"],
+    ["sleep-ideal", "--k", "0"],
+    ["sleep-ideal", "--k", "3,0"],
+    ["sleep-ideal", "--n", "1"],
+    ["sleep-rate", "--warmup", "-1"],
+    ["fixed-point", "--n-max", "1"],
+    ["fixed-point", "--d-max", "1"],
+    ["fixed-point", "--m-factor", "0"],
+    ["sleep-ideal", "--jobs", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_rejects_sweep_sizes_below_bound(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def _idx_files(tmp_path, n=20, side=8, header_only=False):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    pixels = np.random.default_rng(0).integers(0, 256, size=(n, side, side), dtype=np.uint8)
+    images.write_bytes(struct.pack(">II", 0x803, n) if header_only else
+                       struct.pack(">IIII", 0x803, n, side, side) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">II", 0x801, n) + (np.arange(n) % 4).astype(np.uint8).tobytes())
+    return images, labels
+
+
+@pytest.mark.parametrize("case", [
+    "missing-idx", "short-idx-header", "labels-without-images", "odd-idx-side",
+    "idx-leaves-no-test", "image-odd", "kernel-even", "channels-0", "train-size-0",
+    "test-size-0", "epochs-0", "val-fraction-1", "reps-not-dividing-batch",
+    "arm-parameter-0", "arm-parameter-on-conv", "ws-kernel-over-half-image",
+    "compare-reps-not-dividing-batch",
+])
+def test_train_rejects_bad_input_before_work(tmp_path, case):
+    images, labels = _idx_files(tmp_path, side=7 if case == "odd-idx-side" else 8,
+                                header_only=case == "short-idx-header")
+    argv = {
+        "missing-idx": ["--idx-images", str(tmp_path / "absent.idx"), "--idx-labels", str(labels)],
+        "short-idx-header": ["--idx-images", str(images), "--idx-labels", str(labels)],
+        "labels-without-images": ["--idx-labels", str(labels)],
+        "odd-idx-side": ["--idx-images", str(images), "--idx-labels", str(labels)],
+        "idx-leaves-no-test": ["--idx-images", str(images), "--idx-labels", str(labels),
+                               "--train-size", "20"],
+        "image-odd": ["--image", "15"],
+        "kernel-even": ["--kernel", "2"],
+        "channels-0": ["--channels", "0"],
+        "train-size-0": ["--train-size", "0"],
+        "test-size-0": ["--test-size", "0"],
+        "epochs-0": ["--epochs", "0"],
+        "val-fraction-1": ["--val-fraction", "1"],
+        "reps-not-dividing-batch": ["--arm", "lc-reps:16", "--batch-size", "50"],
+        "arm-parameter-0": ["--arm", "lc-reps:0"],
+        "arm-parameter-on-conv": ["--arm", "conv:5"],
+        "ws-kernel-over-half-image": ["--arm", "lc-ws:1", "--image", "6", "--kernel", "5"],
+        "compare-reps-not-dividing-batch": ["--arms", "lc,lc-reps:16", "--batch-size", "50"],
+    }[case]
+    sub = "compare" if case.startswith("compare") else "train"
+    out = tmp_path / "o"
+    assert run(sub, *argv, "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_train_reads_an_idx_pair(tmp_path):
+    images, labels = _idx_files(tmp_path, n=20, side=8)
+    out = tmp_path / "o"
+    assert run("train", "--arm", "lc-ws:1", "--idx-images", str(images), "--idx-labels",
+               str(labels), "--train-size", "12", "--test-size", "8", "--epochs", "1",
+               "--batch-size", "4", "--channels", "2", "--out", str(out)) == 0
+    assert [r["split"] for r in read_rows(out / "metrics.csv")] == ["train", "test"]
+
+
+def _python(code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cold_start_loads_no_scipy():
+    # scipy.linalg alone took about half of every subcommand's set-up;
+    # numpy.random is loaded up front so that no first draw pays for it
+    out = _python("import sys\nimport sleepshare.cli\n"
+                  "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+    assert out.split() == ["False", "True"]
+
+
+def test_subcommands_import_nothing_after_start_up(tmp_path):
+    # a module first imported inside a call moves its import cost from
+    # set-up into the call's own time
+    calls = [
+        ["sleep-ideal", *SMALL_SLEEP],
+        ["sleep-rate", *SMALL_SLEEP, "--mode", "ode"],
+        ["sleep-rate", *SMALL_SLEEP, "--mode", "discrete"],
+        ["fixed-point", "--instances", "2", "--n-max", "3", "--d-max", "3"],
+        ["fixed-point", "--instances", "1", "--gamma", "0"],
+        ["noise-floor", "--seeds", "1", "--iters", "5", "--slope-iters", "20"],
+        ["train", "--arm", "lc-reps:2", *TINY_TRAIN],
+        ["compare", "--arms", "conv,lc-ws:1", "--seeds", "1", *TINY_TRAIN],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sleepshare import cli\n"
+        "before = set(sys.modules)\n"
+        f"for i, argv in enumerate({calls!r}):\n"
+        f"    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        rc = cli.main(argv + ['--out', {str(tmp_path)!r} + '/r%d' % i])\n"
+        "    assert rc in (0, 3), (argv, rc)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    new = json.loads(_python(code))
+    assert [m for m in new if m.split(".")[0] in ("numpy", "sleepshare")] == []
+    # argparse's gettext loads the stdlib locale
+    assert set(new) <= {"locale", "_locale"}, new

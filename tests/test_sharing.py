@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sleepshare as ss
+from sleepshare import sharing
 from sleepshare.errors import DivergenceError, ShapeError
 from sleepshare.mathcore import RngStream
 
@@ -147,6 +150,25 @@ def test_descent_matches_solve():
     biased_solve = ss.biased_fixed_point(w0, x, 1e-1, 10.0)
     biased_desc = ss.full_batch_descent(w0, x, 1e-1, alpha=10.0)
     assert np.linalg.norm(biased_desc - biased_solve) / np.linalg.norm(biased_solve) < 1e-4
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), d=st.integers(1, 10),
+       m=st.integers(1, 24), gamma=st.floats(1e-3, 10.0),
+       alpha=st.one_of(st.just(math.inf), st.floats(0.1, 100.0)))
+def test_fixed_points_are_stationary_under_descent(seed, n, d, m, gamma, alpha):
+    # the averaged gradient that full_batch_descent follows vanishes at the
+    # closed forms, up to the solves' rounding (m < d leaves C singular)
+    rng = np.random.default_rng(seed)
+    w0 = rng.normal(1, 1, (n, d))
+    x = rng.normal(1, 1, (m, d))
+    cov = x.T @ x / m
+    w_star = ss.biased_fixed_point(w0, x, gamma, alpha)
+    if math.isinf(alpha):
+        assert np.array_equal(w_star, ss.fixed_point(w0, x, gamma))
+    grad = sharing._averaged_gradient(w_star, w0, cov, ss.bias_coefficient(alpha), gamma)
+    scale = np.linalg.norm(cov, 2) * np.linalg.norm(w_star) + gamma * np.linalg.norm(w0)
+    assert np.linalg.norm(grad) <= 1e-12 * scale
 
 
 def test_descent_step_cap_positive():
