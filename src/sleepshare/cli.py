@@ -48,11 +48,19 @@ def _finite(s) -> float:
     return v
 
 
-def _finite_or_inf(s) -> float:
-    """A finite value or +inf (alpha: the idealized limit)."""
+def _nonneg(s) -> float:
+    """A finite value >= 0: a noise level or a standard deviation."""
+    v = _finite(s)
+    if v < 0:
+        raise ValueError(f"must be >= 0, got {s!r}")
+    return v
+
+
+def _positive_or_inf(s) -> float:
+    """A value > 0, +inf included (alpha: the idealized limit)."""
     v = float(s)
-    if not (math.isfinite(v) or v == math.inf):
-        raise ValueError(f"must be finite or inf, got {s!r}")
+    if not v > 0:
+        raise ValueError(f"must be > 0 or inf, got {s!r}")
     return v
 
 
@@ -123,16 +131,16 @@ SLEEP_IDEAL_SPEC = {
     "warmup": (_int_min(0), 0),
     "momentum": (_finite, 0.95),
     "input_mean": (_finite, 1.0),
-    "input_std": (_finite, 1.0),
+    "input_std": (_nonneg, 1.0),
     "init_mean": (_finite, 1.0),
-    "init_std": (_finite, 1.0),
-    "sigma": (_finite, 0.0),
-    "alpha": (_finite_or_inf, math.inf),
+    "init_std": (_nonneg, 1.0),
+    "sigma": (_nonneg, 0.0),
+    "alpha": (_positive_or_inf, math.inf),
 }
 
 SLEEP_RATE_SPEC = {
     **SLEEP_IDEAL_SPEC,
-    "alpha": (_finite_or_inf, 10.0),
+    "alpha": (_positive_or_inf, 10.0),
     "tau_ms": (_finite, 30.0),
     "dt_ms": (_finite, 1.0),
     "present_ms": (_finite, 150.0),
@@ -156,7 +164,7 @@ FIXED_POINT_SPEC = {
     "d_max": (_int_min(2), 16),
     "m_factor": (_int_min(1), 2),
     "gamma": (_float_list, [1e-1, 1e-3]),
-    "alpha": (_finite_or_inf, 10.0),
+    "alpha": (_positive_or_inf, 10.0),
     "tol": (_finite, 1e-4),
 }
 
@@ -166,7 +174,7 @@ NOISE_FLOOR_SPEC = {
     "d": (_int_min(1), 9),
     "m": (_int_min(1), 18),
     "gamma": (_finite, 10.0),
-    "sigma": (_float_list, [0.1, 0.2, 0.4]),
+    "sigma": (_list_of(_nonneg), [0.1, 0.2, 0.4]),
     "seeds": (_int_min(1), 10),
     "a": (_finite, 16.0),
     "b": (_finite, 200.0),
@@ -176,9 +184,9 @@ NOISE_FLOOR_SPEC = {
     # the log-log fit needs two points: sharing.loglog_slope's window
     "slope_iters": (_int_min(3), 3000),
     "w_init_mean": (_finite, 0.0),
-    "w_init_std": (_finite, 1.0),
+    "w_init_std": (_nonneg, 1.0),
     "input_mean": (_finite, 1.0),
-    "input_std": (_finite, 1.0),
+    "input_std": (_nonneg, 1.0),
 }
 
 TRAIN_SPEC = {
@@ -188,7 +196,7 @@ TRAIN_SPEC = {
     "test_size": (_int_min(1), 2048),
     # a 5x5 glyph fits, and one 2x2 pool runs between the layers
     "image": (_int_min(6, step=2), 16),
-    "noise": (_finite, 0.15),
+    "noise": (_nonneg, 0.15),
     "channels": (_int_min(1), 8),
     "kernel": (_int_min(1, step=2), 3),
     "epochs": (_int_min(1), 60),
@@ -199,8 +207,6 @@ TRAIN_SPEC = {
     "ws_every": (_int_min(0), 1),
     "pad": (_int_min(0), 4),
     "optimizer": (_choice(*trainer.OPTIMIZERS), "adamw"),
-    "share_mode": (_choice(*trainer.SHARE_MODES), "instant"),
-    "share_iters": (_int_min(0), 180),
     "val_fraction": (_fraction, 0.0),
     "idx_images": (str, ""),
     "idx_labels": (str, ""),
@@ -386,7 +392,7 @@ def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, 
         if ode:
             results = [ratecircuit.rate_sleep_run(
                 bundle, _circuit(cfg), config, gen, plasticity=cfg["plasticity"],
-                rate_const=cfg["rate_const"], reset_rates=cfg["reset_rates"], mode="ode")
+                rate_const=cfg["rate_const"], reset_rates=cfg["reset_rates"])
                 for bundle, config, gen in zip(bundles, configs, gens)]
         else:
             results = sharing.sleep_run(bundles, configs, gens)
@@ -421,8 +427,6 @@ def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
              for s in range(cfg["seeds"])]
     _reject_collisions(cells, [_sleep_stream(*c) for c in cells],
                        [_sleep_traj_name(*c) for c in cells])
-    if not cfg["alpha"] > 0:
-        raise UsageError(f"alpha must be > 0 or inf, got {cfg['alpha']}")
     if not all(g > 0 for g in cfg["gamma"]):
         raise UsageError(f"every gamma must be > 0, got {_fmt_value(cfg['gamma'])}")
 
@@ -637,7 +641,6 @@ def _arm_kwargs(cfg, arm_spec: str, image: int) -> Tuple[str, Dict[str, object]]
         image=cfg["image"], noise=cfg["noise"], channels=cfg["channels"],
         kernel=cfg["kernel"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
         lr=cfg["lr"], weight_decay=cfg["weight_decay"], optimizer=cfg["optimizer"],
-        share_mode=cfg["share_mode"], share_iters=cfg["share_iters"],
         val_fraction=cfg["val_fraction"],
         idx_images=cfg["idx_images"] or None, idx_labels=cfg["idx_labels"] or None,
         reps=reps, ws_every=param or cfg["ws_every"], pad=cfg["pad"],

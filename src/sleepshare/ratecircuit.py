@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import (SleepConfig, SleepResult, WeightBundle, bias_coefficient,
-                      neg_log_snr, sleep_run)
+                      neg_log_snr)
 
 __all__ = [
     "RateCircuit",
@@ -166,28 +166,19 @@ _BLOCK = 32
 
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
                    rng: RngStream, plasticity: str = "continuous",
-                   rate_const: float = 2.0, reset_rates: bool = False,
-                   mode: str = "ode") -> RateSleepResult:
+                   rate_const: float = 2.0, reset_rates: bool = False) -> RateSleepResult:
     """Present config.iterations inputs through the circuit and adapt the
     bundle with the anti-Hebbian rule.
 
-    mode "ode" advances the Euler-discretized rate equations by one
-    exact propagator per presentation (alpha = inf degenerates to the
-    exactly-centered update applied at the same per-step gain, the
-    settled limit of the circuit). mode "discrete" skips the ODE and
-    applies the one-update-per-presentation finite-alpha rule, which is
-    the same code path as the idealized runner.
+    The Euler-discretized rate equations advance by one exact propagator
+    per presentation (alpha = inf degenerates to the exactly-centered
+    update applied at the same per-step gain, the settled limit of the
+    circuit).
 
     Non-finite rates or weights raise DivergenceError naming the
     presentation, checked once per presentation.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if mode == "discrete":
-        res = sleep_run([bundle], [config], [gen])[0]
-        return RateSleepResult(trajectory=res.trajectory, initial=res.initial,
-                               bundle=res.bundle, frac_nonneg=1.0)
-    if mode != "ode":
-        raise ValueError(f"unknown mode {mode!r}")
     if plasticity not in ("continuous", "terminal"):
         raise ValueError(f"unknown plasticity {plasticity!r}")
     # a diverging cell overflows before its check names the presentation,

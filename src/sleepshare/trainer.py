@@ -45,22 +45,18 @@ import numpy as np
 
 from .errors import DivergenceError
 from .mathcore import RngStream
-from .sharing import (Schedule, SleepConfig, kernel_grid_neg_log_snr,
-                      layer_sleep_run, share_kernel_grid_means)
-from .topology import (LocalLayer, Workspace, kaiming_std, local_forward,
-                       position_weights, tile_kernel)
+from .sharing import kernel_grid_neg_log_snr, share_kernel_grid_means
+from .topology import (Workspace, kaiming_std, local_forward, position_weights,
+                       tile_kernel)
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
     "shape_masks", "augment_translate", "build_batch",
-    "forward_backward", "AdamW", "SgdMomentum", "OPTIMIZERS", "SHARE_MODES",
+    "forward_backward", "AdamW", "SgdMomentum", "OPTIMIZERS",
     "train", "run_experiment", "read_idx", "read_idx_pair", "load_idx_pair",
 ]
 
 OPTIMIZERS = ("adamw", "sgd")
-# "instant" projects onto the grid means; "dynamic" runs the sleep
-# dynamics on the layer (the slow path through the actual mechanism)
-SHARE_MODES = ("instant", "dynamic")
 
 
 # ---------------------------------------------------------------------------
@@ -201,32 +197,22 @@ class TrainConfig:
     optimizer: str = "adamw"          # one of OPTIMIZERS
     lr: float = 3e-3
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    sgd_momentum: float = 0.9
     batch_size: int = 64
     epochs: int = 60
     reps: int = 1
     pad: int = 0
     ws_every_n: int = 0               # 0 = never
-    milestones: Optional[Tuple[int, int]] = None   # lr /4 twice; default mid and 3/4
-    share_mode: str = "instant"       # one of SHARE_MODES
-    share_iters: int = 180
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.share_mode not in SHARE_MODES:
-            raise ValueError(f"unknown share mode {self.share_mode!r}")
         if self.reps < 1 or self.batch_size % self.reps != 0:
             raise ValueError("reps must divide batch size")
         if self.ws_every_n < 0:
             raise ValueError("ws_every_n must be >= 0")
 
     def resolved_milestones(self) -> Tuple[int, int]:
-        if self.milestones is not None:
-            return tuple(self.milestones)
+        """The epochs at which the learning rate drops by 4: mid and 3/4."""
         return (self.epochs // 2, (3 * self.epochs) // 4)
 
 
@@ -525,16 +511,6 @@ def _evaluate(stack: LayerStack, images: np.ndarray, labels: np.ndarray, where: 
     return hits / len(labels), loss
 
 
-def _dynamic_share(stack: LayerStack, name: str, iters: int, rng_gen) -> None:
-    k1 = stack.params[name]
-    o, c, h, w, k, _ = k1.shape
-    layer = LocalLayer(c, o, h, w, k, k1, padding_mode="circular")
-    cfg = SleepConfig(gamma=1e-4, schedule=Schedule("inverse_time", a=0.5, b=10.0),
-                      iterations=iters, momentum=0.9, input_mean=0.0, input_std=1.0)
-    layer_sleep_run(layer, cfg, rng_gen)
-    stack.params[name] = layer.weights
-
-
 def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
           gen: np.random.Generator, val: Optional[Dataset] = None) -> TrainHistory:
     """Run the full schedule; every ws_every_n batches (when set) each LC
@@ -549,30 +525,21 @@ def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
 
 def _train(stack, data, test, config, gen, val) -> TrainHistory:
     if config.optimizer == "adamw":
-        opt = AdamW(stack.params, config.lr, config.weight_decay,
-                    config.beta1, config.beta2, config.eps)
+        opt = AdamW(stack.params, config.lr, config.weight_decay)
     else:
-        opt = SgdMomentum(stack.params, config.lr, config.sgd_momentum)
+        opt = SgdMomentum(stack.params, config.lr)
     history = TrainHistory()
     milestones = config.resolved_milestones()
     n = len(data)
-    bs = config.batch_size
-    distinct = bs // config.reps
+    distinct = config.batch_size // config.reps
     nb = 0
     for epoch in range(config.epochs):
         if epoch in milestones:
             opt.lr /= 4.0
         order = gen.permutation(n)
-        for start in range(0, n, distinct if config.reps > 1 else bs):
-            if config.reps > 1:
-                idx = order[start:start + distinct]
-                xb, yb = _assemble(data, idx, config.reps, config.pad, gen)
-            else:
-                idx = order[start:start + bs]
-                if config.pad > 0:
-                    xb, yb = _assemble(data, idx, 1, config.pad, gen)
-                else:
-                    xb, yb = data.images[idx], data.labels[idx]
+        for start in range(0, n, distinct):
+            xb, yb = _assemble(data, order[start:start + distinct], config.reps,
+                               config.pad, gen)
             try:
                 loss, grads = forward_backward(stack, xb, yb)
             except DivergenceError as e:
@@ -582,10 +549,7 @@ def _train(stack, data, test, config, gen, val) -> TrainHistory:
             if config.ws_every_n and nb % config.ws_every_n == 0:
                 for name in stack.lc_layer_names:
                     pre = kernel_grid_neg_log_snr(stack.params[name], stack.kernel)
-                    if config.share_mode == "dynamic":
-                        _dynamic_share(stack, name, config.share_iters, gen)
-                    else:
-                        stack.params[name] = share_kernel_grid_means(stack.params[name], stack.kernel)
+                    stack.params[name] = share_kernel_grid_means(stack.params[name], stack.kernel)
                     opt.share_state(name, stack.kernel)
                     post = kernel_grid_neg_log_snr(stack.params[name], stack.kernel)
                     history.events.append((nb, name, pre, post))
@@ -604,8 +568,6 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
                    kernel: int = 3, epochs: int = 60, batch_size: int = 64,
                    lr: float = 3e-3, weight_decay: float = 1e-4, reps: int = 16,
                    ws_every: int = 1, pad: int = 4, optimizer: str = "adamw",
-                   milestones: Optional[Tuple[int, int]] = None,
-                   share_mode: str = "instant", share_iters: int = 180,
                    val_fraction: float = 0.0,
                    idx_images: Optional[str] = None,
                    idx_labels: Optional[str] = None) -> TrainHistory:
@@ -638,7 +600,6 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
         reps=reps if arm == "lc-reps" else 1,
         pad=pad if arm == "lc-reps" else 0,
         ws_every_n=ws_every if arm == "lc-ws" else 0,
-        milestones=milestones, share_mode=share_mode, share_iters=share_iters,
     )
     stack = LayerStack(kind, gen, image=image, channels=channels, kernel=kernel,
                        n_classes=n_classes, grid_tied=(arm == "lc-ws"))

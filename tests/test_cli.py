@@ -173,11 +173,15 @@ def test_rate_divergence_prints_only_the_failure(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
-@pytest.mark.parametrize("mode", ["ode", "discrete"])
-def test_rate_rejects_nonpositive_alpha(tmp_path, mode, alpha):
+@pytest.mark.parametrize("argv", [
+    ["sleep-rate", "--mode", "ode", *SMALL_SLEEP],
+    ["sleep-rate", "--mode", "discrete", *SMALL_SLEEP],
+    ["sleep-ideal", *SMALL_SLEEP],
+    ["fixed-point", "--instances", "1"],
+], ids=["ode", "discrete", "sleep-ideal", "fixed-point"])
+def test_rate_rejects_nonpositive_alpha(tmp_path, argv, alpha):
     out = tmp_path / "o"
-    assert run("sleep-rate", "--mode", mode, "--alpha", alpha, *SMALL_SLEEP,
-               "--out", str(out)) == cli.EXIT_USAGE
+    assert run(*argv, "--alpha", alpha, "--out", str(out)) == cli.EXIT_USAGE
     assert not out.exists()
 
 
@@ -190,8 +194,7 @@ def test_sweep_rejects_nonpositive_gamma(tmp_path, sub):
 
 
 @pytest.mark.parametrize("sub,flag", [("sleep-ideal", "--schedule"),
-                                      ("train", "--optimizer"),
-                                      ("train", "--share-mode")])
+                                      ("train", "--optimizer")])
 def test_rejects_unknown_choice(tmp_path, sub, flag):
     out = tmp_path / "o"
     assert run(sub, flag, "foo", "--out", str(out)) == cli.EXIT_USAGE
@@ -425,6 +428,14 @@ def test_module_entry_point(tmp_path):
     ["fixed-point", "--d-max", "1"],
     ["fixed-point", "--m-factor", "0"],
     ["sleep-ideal", "--jobs", "0"],
+    ["sleep-ideal", "--input-std", "-1"],
+    ["sleep-ideal", "--init-std", "-1"],
+    ["sleep-ideal", "--sigma", "-0.3"],
+    ["sleep-rate", "--input-std", "-1"],
+    ["sleep-rate", "--init-std", "-1"],
+    ["noise-floor", "--w-init-std", "-1"],
+    ["noise-floor", "--input-std", "-1"],
+    ["noise-floor", "--sigma=-0.1,0.2"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejects_sweep_sizes_below_bound(tmp_path, argv):
     out = tmp_path / "o"
@@ -446,7 +457,7 @@ def _idx_files(tmp_path, n=20, side=8, header_only=False):
     "idx-leaves-no-test", "image-odd", "kernel-even", "channels-0", "train-size-0",
     "test-size-0", "epochs-0", "val-fraction-1", "reps-not-dividing-batch",
     "arm-parameter-0", "arm-parameter-on-conv", "ws-kernel-over-half-image",
-    "compare-reps-not-dividing-batch",
+    "compare-reps-not-dividing-batch", "noise-negative", "compare-noise-negative",
 ])
 def test_train_rejects_bad_input_before_work(tmp_path, case):
     images, labels = _idx_files(tmp_path, side=7 if case == "odd-idx-side" else 8,
@@ -470,6 +481,8 @@ def test_train_rejects_bad_input_before_work(tmp_path, case):
         "arm-parameter-on-conv": ["--arm", "conv:5"],
         "ws-kernel-over-half-image": ["--arm", "lc-ws:1", "--image", "6", "--kernel", "5"],
         "compare-reps-not-dividing-batch": ["--arms", "lc,lc-reps:16", "--batch-size", "50"],
+        "noise-negative": ["--noise", "-1"],
+        "compare-noise-negative": ["--arms", "lc", "--noise", "-1"],
     }[case]
     sub = "compare" if case.startswith("compare") else "train"
     out = tmp_path / "o"

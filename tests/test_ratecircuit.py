@@ -113,30 +113,11 @@ class FixedDraw:
         return self.x.reshape(size).copy()
 
 
-def test_discrete_mode_matches_ideal_runner():
-    def fresh():
-        g = RngStream(7, (41,)).generator()
-        return ss.WeightBundle.from_rng(g, 30, 9), g
-
-    cfg = ss.SleepConfig(gamma=1e-2,
-                         schedule=ss.Schedule("inverse_time", 0.5, 1000.0),
-                         iterations=200, momentum=0.95, alpha=10.0)
-    b1, g1 = fresh()
-    res_rate = ss.rate_sleep_run(b1, make_circuit(), cfg, g1, mode="discrete")
-    b2, g2 = fresh()
-    [res_ideal] = ss.sleep_run([b2], [cfg], [g2])
-    assert np.array_equal(res_rate.trajectory, res_ideal.trajectory)
-    assert np.array_equal(b1.weights, b2.weights)
-    assert res_rate.frac_nonneg == 1.0
-
-
 def test_mode_and_plasticity_validation():
     gen = np.random.default_rng(0)
     bundle = ss.WeightBundle.from_rng(gen, 5, 4)
     cfg = ss.SleepConfig(gamma=1e-2, schedule=ss.Schedule("constant", 1e-4),
                          iterations=1)
-    with pytest.raises(ValueError):
-        ss.rate_sleep_run(bundle, make_circuit(), cfg, gen, mode="euler")
     with pytest.raises(ValueError):
         ss.rate_sleep_run(bundle, make_circuit(), cfg, gen, plasticity="batch")
 

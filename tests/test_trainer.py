@@ -1,4 +1,3 @@
-import math
 import struct
 from unittest import mock
 
@@ -150,7 +149,7 @@ def test_augment_offsets_cover_grid_uniformly():
     assert min(counts.values()) > 15
 
 
-@pytest.mark.parametrize("reps,pad", [(1, 2), (4, 3), (3, 0)])
+@pytest.mark.parametrize("reps,pad", [(1, 2), (4, 3), (3, 0), (1, 0)])
 def test_assemble_matches_copy_by_copy_crops(reps, pad):
     # one padded batch and one gather give the crops, labels and generator
     # state of padding and cropping each copy on its own, dy then dx
@@ -357,7 +356,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=10, reps=3)
     assert TrainConfig(epochs=60).resolved_milestones() == (30, 45)
-    assert TrainConfig(epochs=8, milestones=(2, 5)).resolved_milestones() == (2, 5)
 
 
 def test_run_experiment_rejects_unknown_arm():
@@ -399,19 +397,6 @@ def test_ws_arm_events_and_sentinel():
         assert pre >= post
     # 2 batches per epoch, 2 epochs, both layers at every batch
     assert len(h.events) == 8
-
-
-def test_dynamic_share_mode_events_and_determinism():
-    # the sleep dynamics run on both layers at every sharing step; unlike
-    # instant sharing they stop short of the converged sentinel
-    h = run_experiment("lc-ws", 0, share_mode="dynamic", share_iters=30, **SMALL)
-    assert [e[1] for e in h.events] == ["layer1", "layer2"] * 4
-    for _, _, pre, post in h.events:
-        assert math.isfinite(pre) and math.isfinite(post)
-        assert ss.NEG_LOG_SNR_CONVERGED < post != pre
-    again = run_experiment("lc-ws", 0, share_mode="dynamic", share_iters=30, **SMALL)
-    assert again.metrics == h.metrics
-    assert again.events == h.events
 
 
 def test_ws_grid_tied_init():
