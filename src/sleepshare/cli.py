@@ -12,6 +12,7 @@ singularity, 4 tolerance breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -148,7 +149,6 @@ SLEEP_RATE_SPEC = {
     "mode": (_choice("ode", "discrete"), "ode"),
     "plasticity": (_choice("continuous", "terminal"), "continuous"),
     "rate_const": (_finite, 2.0),
-    "reset_rates": (_bool, False),
     "bias": (_finite, 1.0),
     "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
     "eta_a": (_finite, 3e-4),
@@ -392,7 +392,7 @@ def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, 
         if ode:
             results = [ratecircuit.rate_sleep_run(
                 bundle, _circuit(cfg), config, gen, plasticity=cfg["plasticity"],
-                rate_const=cfg["rate_const"], reset_rates=cfg["reset_rates"])
+                rate_const=cfg["rate_const"])
                 for bundle, config, gen in zip(bundles, configs, gens)]
         else:
             results = sharing.sleep_run(bundles, configs, gens)
@@ -447,12 +447,20 @@ def cmd_sleep_ideal(cfg, out: RunDir) -> int:
     return _cmd_sleep(cfg, out, rate=False)
 
 
+# Settings one sleep-rate mode never reads: the discrete rule has no
+# circuit, and the circuit has no heavy-ball state and one shared input.
+# A run refuses a value other than the default rather than record a
+# setting that did nothing.
+_ODE_ONLY = ("plasticity", "rate_const", "tau_ms", "dt_ms", "present_ms", "bias")
+_DISCRETE_ONLY = ("momentum", "sigma")
+
+
 def cmd_sleep_rate(cfg, out: RunDir) -> int:
-    if cfg["mode"] == "ode":
-        # the circuit has no heavy-ball state and one shared input
-        for key in ("momentum", "sigma"):
-            if cfg[key] != 0.0:
-                raise UsageError(f"--{key} is not used in ode mode; got {cfg[key]}")
+    unused = _DISCRETE_ONLY if cfg["mode"] == "ode" else _ODE_ONLY
+    for key in unused:
+        if cfg[key] != SLEEP_RATE_SPEC[key][1]:
+            raise UsageError(f"--{key.replace('_', '-')} is not used in {cfg['mode']} "
+                             f"mode; got {cfg[key]}")
     if not (math.isfinite(cfg["rate_const"]) and cfg["rate_const"] >= 0):
         # a negative gain would flip the anti-Hebbian rule to Hebbian
         raise UsageError(f"rate_const must be finite and >= 0, got {cfg['rate_const']}")
@@ -722,7 +730,10 @@ def _add_flags(p: argparse.ArgumentParser, spec) -> None:
     p.add_argument("--replay", default=None, metavar="MANIFEST")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: its ~115 flags
+    cost milliseconds to add, and parsing leaves the parser unchanged."""
     p = argparse.ArgumentParser(
         prog="sleepshare",
         description="Weight-equalization experiments for locally connected layers.")

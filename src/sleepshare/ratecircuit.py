@@ -38,10 +38,25 @@ Only the reconstruction depends on the state. The runner takes the
 presentations in blocks of `_BLOCK`: per block, one draw gives the
 inputs, and stacked calls give their norms, x_hat, z0 = w0 x, the
 (m, 5, 5) step matrices and both matrix powers, before the
-per-presentation loop applies them in order. One `neg_log_snr` call on
-the block's weight snapshots fills its trajectory. Each stacked call is
+per-presentation loop applies them in order. Each stacked call is
 bitwise the per-presentation one, so the output does not depend on the
 block size.
+
+The loop allocates nothing. It works through in-place `out=` forms in
+buffers made once per run: the weight difference, the rank-1 update,
+the (3, N) deviations and the 5-vector of means. It writes each
+presentation's weights into a neuron-major (N, m, D) snapshot block and
+its rates into an (m, N) block. One `neg_log_snr` call fills the
+block's trajectory, reading a full block's snapshots in place (for
+D = 1 it sums a cell-major copy, as one (N, 1) group does).
+
+The divergence checks run once per block, on those records, in the
+order each presentation takes them: an overflowing decay factor (found
+in the set-up; the block stops before it), then non-finite rates, then
+non-finite weights. The first failing presentation raises, with the
+message, presentation and t a check after every presentation gives.
+Non-finite weights show in the snapshots' -log snr (see
+`sharing._maybe_nonfinite`), so the full weight check runs only then.
 """
 
 from __future__ import annotations
@@ -54,8 +69,8 @@ import numpy as np
 
 from .errors import DivergenceError
 from .mathcore import RngStream
-from .sharing import (SleepConfig, SleepResult, WeightBundle, bias_coefficient,
-                      neg_log_snr)
+from .sharing import (SleepConfig, SleepResult, WeightBundle, _maybe_nonfinite,
+                      bias_coefficient, neg_log_snr)
 
 __all__ = [
     "RateCircuit",
@@ -166,7 +181,7 @@ _BLOCK = 32
 
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
                    rng: RngStream, plasticity: str = "continuous",
-                   rate_const: float = 2.0, reset_rates: bool = False) -> RateSleepResult:
+                   rate_const: float = 2.0) -> RateSleepResult:
     """Present config.iterations inputs through the circuit and adapt the
     bundle with the anti-Hebbian rule.
 
@@ -175,8 +190,14 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     update applied at the same per-step gain, the settled limit of the
     circuit).
 
-    Non-finite rates or weights raise DivergenceError naming the
-    presentation, checked once per presentation.
+    A weight decay factor that overflows, non-finite rates and non-finite
+    weights raise DivergenceError naming the first presentation at which
+    one of them happens, checked in that order within a presentation.
+    The checks run once per block, so after the error the bundle's
+    weights and the circuit's rates, inhibitory rate and t_ms are those
+    after the last presentation the block ran: the block's last, or the
+    one before a decay overflow, which may lie past the presentation
+    named (by up to `_BLOCK - 1`).
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     if plasticity not in ("continuous", "terminal"):
@@ -184,11 +205,10 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     # a diverging cell overflows before its check names the presentation,
     # and the block's later presentations may overflow in the stacked set-up
     with np.errstate(over="ignore", invalid="ignore"):
-        return _ode_run(bundle, circuit, config, gen, plasticity, rate_const,
-                        reset_rates)
+        return _ode_run(bundle, circuit, config, gen, plasticity, rate_const)
 
 
-def _ode_run(bundle, circuit, config, gen, plasticity, rate_const, reset_rates):
+def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
     w = bundle.weights
     w0 = bundle.init
     n, d = bundle.n, bundle.d
@@ -197,78 +217,137 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const, reset_rates):
     if not ideal:
         circuit.reset(n)
     steps = circuit.steps_per_presentation
+    t_step = steps * circuit.dt
     # The settled limit follows the centered drive within each step (c = 1)
     # and propagates only the deviation mode, which alpha does not reach.
     c = 1.0 if ideal else circuit.dt / circuit.tau
     alpha = 0.0 if ideal else circuit.alpha
     gain = rate_const * circuit.dt if plasticity == "continuous" else 0.0
+    terminal = plasticity == "terminal"
     traj = np.empty(config.iterations)
     initial = neg_log_snr(w)
     nonneg = 0
-    snap = np.empty((min(_BLOCK, config.iterations), n, d))
+    # the per-run workspace
+    block = min(_BLOCK, config.iterations)
+    snap = np.empty((n, block, d))      # neuron-major weights after each presentation
+    rates = np.empty((block, n))        # rates after each presentation
+    dw = np.empty((n, d))
+    rank1 = np.empty((n, d))
+    dev = np.empty((3, n))              # per-neuron (r_i, a_i, z0_i) less their means
+    dev_end = np.empty((3, n))
+    coef = np.empty(n)
+    means = np.empty(3)
+    state = np.ones(5)                  # (mean r, mean a, r_inh, mean z0, 1)
+    r = np.zeros(n) if ideal else circuit.r
+    r_inh = circuit.r_inh
     for k0 in range(0, config.iterations, _BLOCK):
         m = min(_BLOCK, config.iterations - k0)
         # what depends only on the block's inputs and step sizes
         xs = gen.normal(config.input_mean, config.input_std, size=(m, d))
         etas = [config.schedule(k) for k in range(k0, k0 + m)]
         hs = [eta * gain for eta in etas]
+        decs = []
+        for h in hs:
+            try:
+                decs.append((1.0 - h * gamma) ** steps)
+            except OverflowError:
+                break
+        run = len(decs)  # the block stops before a decay overflow
         if not ideal or any(hs):
-            s = np.array([math.sqrt(float(x @ x)) for x in xs])
+            s = np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None]))[:, 0, 0]
             x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
             z0 = np.matmul(w0[None], xs[:, :, None])[..., 0]
             step = _euler_step_matrix(c, s, np.array(hs), gamma, alpha, circuit.b)
             dev_powers = np.linalg.matrix_power(step[_DEVIATION], steps)
             if not ideal:
                 mean_powers = np.linalg.matrix_power(step, steps)
-        for j in range(m):
-            k = k0 + j
-            x, eta, h = xs[j], etas[j], hs[j]
+        r_inhs = []
+        for j in range(run):
+            eta, h = etas[j], hs[j]
             if h or not ideal:
-                if reset_rates and not ideal:
-                    circuit.reset(n)
-                dw = w - w0
-                # per-neuron (r_i, a_i, z0_i), split into means and deviations
-                dev = np.stack((np.zeros(n) if ideal else circuit.r, dw @ x_hats[j], z0[j]))
-                mean = dev.mean(axis=1)
-                dev -= mean[:, None]
-                dev_end = dev_powers[j] @ dev
-                try:
-                    dec = (1.0 - h * gamma) ** steps
-                except OverflowError:
-                    raise DivergenceError("weight decay factor overflowed",
-                                          f"presentation {k}") from None
+                np.subtract(w, w0, out=dw)
+                dev[0] = r
+                np.matmul(dw, x_hats[j], out=dev[1])
+                dev[2] = z0[j]
+                np.add.reduce(dev, axis=1, out=means)
+                means /= n
+                dev -= means[:, None]
+                np.matmul(dev_powers[j], dev, out=dev_end)
+                dec = decs[j]
                 if ideal:
-                    a_mean_end = dec * mean[1]
+                    a_mean_end = dec * means[1]
                 else:
-                    mean_end = mean_powers[j] @ (
-                        mean[0], mean[1], circuit.r_inh, mean[2], 1.0)
-                    circuit.r[:] = mean_end[0] + dev_end[0]
-                    circuit.r_inh = float(mean_end[2])
-                    circuit.t_ms += steps * circuit.dt
-                    if not np.all(np.isfinite(circuit.r)) or not math.isfinite(circuit.r_inh):
-                        raise DivergenceError("rate dynamics diverged",
-                                              f"presentation {k}, t = {circuit.t_ms:.1f} ms")
+                    state[:2] = means[:2]
+                    state[2] = r_inh
+                    state[3] = means[2]
+                    mean_end = mean_powers[j] @ state
+                    r = rates[j]
+                    np.add(dev_end[0], mean_end[0], out=r)
+                    r_inh = float(mean_end[2])
+                    r_inhs.append(r_inh)
                     a_mean_end = mean_end[1]
                 if h:
                     # w <- w0 + dec (w - w0) + (a_end - dec a) x_hat
                     dw *= dec
-                    dw += np.outer(a_mean_end - dec * mean[1] + dev_end[1] - dec * dev[1],
-                                   x_hats[j])
+                    np.add(dev_end[1], a_mean_end - dec * means[1], out=coef)
+                    dev[1] *= dec
+                    coef -= dev[1]
+                    np.multiply(coef[:, None], x_hats[j], out=rank1)
+                    dw += rank1
                     np.add(w0, dw, out=w)
-            if plasticity == "terminal":
+            if terminal:
+                # w <- w - eta (settled x + gamma (w - w0))
                 if ideal:
-                    z = w @ x
-                    settled = z - z.mean()
+                    np.matmul(w, xs[j], out=coef)
+                    coef -= coef.mean()
                 else:
-                    settled = circuit.r - circuit.b
-                w -= eta * (settled[:, None] * x[None, :] + gamma * (w - w0))
-            if ideal or circuit.r.min() >= 0.0:
-                nonneg += 1
-            if not np.all(np.isfinite(w)):
-                raise DivergenceError("non-finite weights in rate sleep run",
-                                      f"presentation {k}")
-            snap[j] = w
-        traj[k0:k0 + m] = neg_log_snr(snap[:m])
+                    np.subtract(r, circuit.b, out=coef)
+                np.subtract(w, w0, out=dw)
+                dw *= gamma
+                np.multiply(coef[:, None], xs[j], out=rank1)
+                rank1 += dw
+                rank1 *= eta
+                w -= rank1
+            snap[:, j] = w
+        found = traj[k0:k0 + run]
+        if run:
+            found[:] = neg_log_snr(snap[:, :run].transpose(1, 0, 2))
+        bad_weights = np.zeros(run, dtype=bool)
+        if _maybe_nonfinite(found):
+            bad_weights = ~np.isfinite(snap[:, :run]).all(axis=(0, 2))
+        bad_rates = np.zeros(run, dtype=bool)
+        t_block = circuit.t_ms
+        if ideal:
+            nonneg += run
+        elif run:
+            bad_rates = ~(np.isfinite(rates[:run]).all(axis=1) & np.isfinite(r_inhs))
+            nonneg += int(np.count_nonzero(rates[:run].min(axis=1) >= 0.0))
+            circuit.r[:] = r
+            r = circuit.r
+            circuit.r_inh = r_inh
+            for _ in range(run):
+                circuit.t_ms += t_step
+        if run < m or bad_rates.any() or bad_weights.any():
+            raise _first_divergence(k0, run, bad_rates, bad_weights, t_block, t_step)
     frac = nonneg / config.iterations if config.iterations else 1.0
     return RateSleepResult(trajectory=traj, initial=initial, bundle=bundle,
                            frac_nonneg=frac)
+
+
+def _first_divergence(k0: int, run: int, bad_rates: np.ndarray, bad_weights: np.ndarray,
+                      t_ms: float, t_step: float) -> DivergenceError:
+    """The error of the first failing presentation of the block starting
+    at presentation k0, found in the order each presentation is checked:
+    a decay overflow (which ended the block after `run` presentations),
+    non-finite rates, non-finite weights. t_ms is the circuit's time at
+    the block's start."""
+    bad = bad_rates | bad_weights
+    j = int(np.argmax(bad)) if bad.any() else run
+    k = k0 + j
+    if j == run:
+        return DivergenceError("weight decay factor overflowed", f"presentation {k}")
+    if bad_rates[j]:
+        for _ in range(j + 1):
+            t_ms += t_step
+        return DivergenceError("rate dynamics diverged", f"presentation {k}, t = {t_ms:.1f} ms")
+    return DivergenceError("non-finite weights in rate sleep run", f"presentation {k}")

@@ -21,6 +21,14 @@ single (N, D) cell uses, so each cell's trajectory is bitwise what it is
 when run alone; one cell is the S = 1 case. `noise_floor_run` stacks its
 per-stream cells the same way.
 
+The snr diagnostic reduces a neuron-major (N, S, D) layout: its sums
+over the leading neuron axis add whole (S, D) rows in turn, the order
+np.mean uses on one (N, D) cell, without strided D-wide inner loops. A
+cell-major stack is copied into that layout once per call; a stack laid
+out neuron-major (the rate runner's snapshots) is read in place. For
+D = 1, np.mean sums the contiguous neuron axis pairwise, so that case
+reduces a cell-major copy instead and keeps those bits.
+
 Also here: closed-form fixed points of the averaged dynamics (unbiased
 and finite-alpha), deterministic full-batch descent used to cross-check
 them, instant grid-mean projection for layers, patch-stack sharing, and
@@ -89,18 +97,33 @@ def _as_stack(w) -> Tuple[np.ndarray, bool]:
 def _snr_stack(w: np.ndarray) -> np.ndarray:
     """snr of each (N, D) cell of an (S, N, D) stack.
 
-    One column sum gives both the mean and the variance. These are the
-    reductions np.mean and np.var make (sum, then divide by the count),
-    so each cell's value is bitwise the one it has on its own.
+    The sums run over a neuron-major (N, S, D) layout: w's own memory when
+    w is the transposed view of a C-contiguous (N, S, D) array, else one
+    copy, which the squared deviations then overwrite. One sum over the
+    neurons gives both the mean and the variance. Adding whole (S, D)
+    rows neuron by neuron is the order np.mean and np.var use on one
+    (N, D) cell for D >= 2, so each cell's value is bitwise the one it
+    has on its own. For D = 1 they sum a contiguous neuron axis pairwise,
+    so that case reduces a cell-major copy instead.
     """
     n, d = w.shape[1], w.shape[2]
-    means = np.add.reduce(w, axis=1, keepdims=True)
+    if d == 1:
+        wn = scratch = w.copy()
+        axis = 1
+    else:
+        wn = w.transpose(1, 0, 2)
+        if wn.flags.c_contiguous:
+            scratch = np.empty(wn.shape)
+        else:
+            wn = scratch = np.ascontiguousarray(wn)
+        axis = 0
+    means = np.add.reduce(wn, axis=axis, keepdims=True)
     means /= n
-    sq = w - means
+    sq = np.subtract(wn, means, out=scratch)
     np.multiply(sq, sq, out=sq)
-    variances = np.add.reduce(sq, axis=1)  # population variance
+    variances = np.add.reduce(sq, axis=axis)  # population variance
     variances /= n
-    means = means[:, 0]
+    means = means.squeeze(axis)
     zero = variances == 0.0
     if zero.any():
         return _snr_flat_columns(means, variances, zero)
@@ -131,12 +154,25 @@ def snr(w: np.ndarray):
 
 
 def neg_log_snr(w: np.ndarray):
-    """-log snr with finite sentinels, per cell for an (S, N, D) stack."""
+    """-log snr with finite sentinels, per cell for an (S, N, D) stack.
+
+    A stack that is the transposed view of a C-contiguous (N, S, D) array
+    is read in place; any other is copied neuron-major first (see
+    `_snr_stack`). A cell holding a non-finite weight gives nan or the
+    converged sentinel (its snr is nan or inf).
+    """
     stack, many = _as_stack(w)
     vals = [NEG_LOG_SNR_CONVERGED if math.isinf(s) else
             NEG_LOG_SNR_ZERO_MEAN if s <= 0.0 else -math.log(s)
             for s in _snr_stack(stack).tolist()]
     return np.array(vals) if many else vals[0]
+
+
+def _maybe_nonfinite(neg_log: np.ndarray) -> bool:
+    """Whether some cell of a neg_log_snr row may hold a non-finite weight:
+    only then is a full check of the weights needed. nan and the converged
+    sentinel both fail the comparison."""
+    return not (neg_log > NEG_LOG_SNR_CONVERGED).all()
 
 
 def neg_log_snr_floor(gamma: float) -> float:
@@ -266,21 +302,20 @@ def sleep_step(bundle: WeightBundle, x, gamma, eta: float,
     x = np.asarray(x, dtype=np.float64)
     if w.ndim == 2:
         w, w0, x = w[None], w0[None], x[None]
-    if x.ndim == 2:
-        x = x[:, None, :]
-    if x.shape != w.shape and x.shape != (w.shape[0], 1, w.shape[2]):
+    shared = x.shape == (w.shape[0], w.shape[2])
+    if not shared and x.shape != w.shape:
         raise ShapeError(f"x must be one input or one per neuron for a bundle of shape "
                          f"{bundle.weights.shape}, got {x.shape}")
     n = w.shape[1]
     c = bias_coefficient(alpha)
-    z = np.einsum("snd,snd->sn", w, np.broadcast_to(x, w.shape))
+    z = np.einsum("snd,sd->sn" if shared else "snd,snd->sn", w, x)
     zbar = np.add.reduce(z, axis=1, keepdims=True)
     zbar /= n
     z -= c * zbar
     # velocity <- momentum * velocity - (dev * x + gamma * (w - w0))
     pull = w - w0
     pull *= gamma
-    push = z[:, :, None] * x
+    push = np.einsum("sn,sd->snd", z, x) if shared else z[:, :, None] * x
     push += pull
     if velocity is None:
         velocity = np.zeros_like(bundle.weights)
@@ -301,6 +336,10 @@ def _check_finite(w: np.ndarray, run: str, iteration: int) -> None:
                               f"cell {cell}, iteration {iteration}", cell=cell)
 
 
+# Iterations whose noiseless inputs one draw per cell gives.
+_DRAW_BLOCK = 32
+
+
 def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
               rngs: Sequence) -> List[SleepResult]:
     """Run the stochastic equalization of S same-shape cells as one
@@ -313,6 +352,11 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
     -log snr after every step. Each cell's trajectory and weights are
     bitwise those of the cell run on its own (S = 1), and the bundles'
     weights are updated in place.
+
+    Without noise a cell draws the inputs of `_DRAW_BLOCK` iterations in
+    one call, which gives the same numbers as one draw per iteration. The
+    weights are checked for non-finite values only when the -log snr row
+    is nan or the converged sentinel, which every cell holding one gives.
     """
     if not len(bundles) == len(configs) == len(rngs) > 0:
         raise ValueError("sleep_run needs one config and one rng per bundle")
@@ -324,27 +368,37 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
                          np.stack([b.init for b in bundles]))
     s, n, d = stack.weights.shape
     gamma = np.array([c.gamma for c in configs])[:, None, None]
+    mean, std = config.input_mean, config.input_std
     noisy = config.sigma > 0
-    x = np.empty((s, n, d) if noisy else (s, d))
+    if noisy:
+        x = np.empty((s, n, d))
+    else:
+        xs = np.empty((s, min(_DRAW_BLOCK, config.iterations), d))
     velocity = None
     traj = np.empty((s, config.iterations))
     initial = neg_log_snr(stack.weights)
     # DivergenceError reports a blow-up; numpy's warnings would bury it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iterations):
-            for i, gen in enumerate(gens):
-                xi = gen.normal(config.input_mean, config.input_std, size=d)
-                if noisy:
+            if noisy:
+                for i, gen in enumerate(gens):
+                    xi = gen.normal(mean, std, size=d)
                     gen.standard_normal(out=x[i])
                     x[i] *= config.sigma
                     x[i] += xi
-                else:
-                    x[i] = xi
+            else:
+                j = k % _DRAW_BLOCK
+                if j == 0:
+                    m = min(_DRAW_BLOCK, config.iterations - k)
+                    for i, gen in enumerate(gens):
+                        xs[i, :m] = gen.normal(mean, std, size=(m, d))
+                x = xs[:, j]
             velocity = sleep_step(stack, x, gamma, config.schedule(k),
                                   alpha=config.alpha, momentum=config.momentum,
                                   velocity=velocity)
-            _check_finite(stack.weights, "sleep run", k)
-            traj[:, k] = neg_log_snr(stack.weights)
+            row = traj[:, k] = neg_log_snr(stack.weights)
+            if _maybe_nonfinite(row):
+                _check_finite(stack.weights, "sleep run", k)
     for bundle, w in zip(bundles, stack.weights):
         bundle.weights[...] = w
     return [SleepResult(trajectory=t, initial=float(i0), bundle=b)

@@ -209,6 +209,25 @@ def test_ode_rejects_discrete_only_flags(tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--plasticity", "terminal"), ("--rate-const", "7"),
+                                        ("--tau-ms", "20"), ("--dt-ms", "0.5"),
+                                        ("--present-ms", "100"), ("--bias", "0.5")])
+def test_discrete_rejects_ode_only_flags(tmp_path, flag, value):
+    # discrete mode never reads them; a manifest would record a setting that did nothing
+    out = tmp_path / "o"
+    assert run("sleep-rate", "--mode", "discrete", flag, value, *SMALL_SLEEP,
+               "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_replay_refuses_the_deleted_reset_rates_key(tmp_path):
+    out = tmp_path / "o"
+    assert run("sleep-rate", *SMALL_SLEEP, "--iters", "2", "--out", str(out)) == 0
+    old = tmp_path / "old_manifest.txt"
+    old.write_text((out / "manifest.txt").read_text() + "cfg.reset_rates=False\n")
+    assert run("sleep-rate", "--replay", str(old), "--out", str(tmp_path / "r")) == cli.EXIT_USAGE
+
+
 @pytest.mark.parametrize("sweep", [["--gamma", "0.001,0.0010000001"],
                                    ["--k", "3,3"]])
 @pytest.mark.parametrize("sub", ["sleep-ideal", "sleep-rate"])

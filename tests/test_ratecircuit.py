@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sleepshare as ss
@@ -142,18 +142,6 @@ def test_frac_nonneg_accounting():
     assert res_wide.frac_nonneg < 0.5
 
 
-def test_reset_rates_changes_trajectory():
-    def run(reset):
-        g = RngStream(3, (43,)).generator()
-        b = ss.WeightBundle.from_rng(g, 20, 9)
-        cfg = ss.SleepConfig(gamma=1e-3,
-                             schedule=ss.Schedule("constant", 1e-3),
-                             iterations=15, alpha=10.0)
-        return ss.rate_sleep_run(b, make_circuit(), cfg, g, reset_rates=reset)
-
-    assert not np.array_equal(run(True).trajectory, run(False).trajectory)
-
-
 def test_ideal_ode_tracks_discrete_shape():
     # alpha = inf ode path applies the centered update at every Euler step;
     # trajectory must fall toward the floor like the discrete rule does
@@ -167,7 +155,7 @@ def test_ideal_ode_tracks_discrete_shape():
 
 
 def euler_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
-                         rate_const=2.0, reset_rates=False):
+                         rate_const=2.0):
     """Reference for rate_sleep_run's ode mode: every presentation steps
     the circuit one forward-Euler step at a time with rate_step (alpha =
     inf: the centered update) and applies the plasticity at each step."""
@@ -181,8 +169,6 @@ def euler_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
     for k in range(config.iterations):
         x = gen.normal(config.input_mean, config.input_std, size=bundle.d)
         eta = config.schedule(k)
-        if reset_rates and not ideal:
-            circuit.reset(bundle.n)
 
         def settled():
             if ideal:
@@ -204,7 +190,7 @@ def euler_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
     return traj, nonneg / config.iterations
 
 
-def propagator_and_oracle(alpha, plasticity, reset_rates, n, iterations):
+def propagator_and_oracle(alpha, plasticity, n, iterations):
     """Runs rate_sleep_run, then the Euler reference, on the same cell and
     stream; returns (output, bundle, circuit, generator) for each."""
     runs = []
@@ -215,8 +201,7 @@ def propagator_and_oracle(alpha, plasticity, reset_rates, n, iterations):
         cfg = ss.SleepConfig(
             gamma=1e-3, schedule=ss.Schedule("inverse_sqrt", 3e-4, 2.0, warmup=50),
             iterations=iterations, alpha=alpha)
-        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity,
-                     reset_rates=reset_rates)
+        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity)
         runs.append((out, bundle, circuit, gen))
     return runs
 
@@ -235,19 +220,17 @@ def assert_matches_oracle(runs):
     assert np.array_equal(gen.random(4), ref_gen.random(4))
 
 
-@pytest.mark.parametrize("reset_rates", [False, True])
 @pytest.mark.parametrize("plasticity", ["continuous", "terminal"])
 @pytest.mark.parametrize("alpha", [10.0, math.inf])
-def test_propagator_matches_euler_oracle(alpha, plasticity, reset_rates):
-    assert_matches_oracle(propagator_and_oracle(alpha, plasticity, reset_rates,
-                                                n=10, iterations=200))
+def test_propagator_matches_euler_oracle(alpha, plasticity):
+    assert_matches_oracle(propagator_and_oracle(alpha, plasticity, n=10, iterations=200))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("alpha", [10.0, math.inf])
 def test_propagator_matches_euler_oracle_on_criterion_cell(alpha):
     # the acceptance criterion-2 cell: N = 100, k = 3, 10 000 presentations
-    assert_matches_oracle(propagator_and_oracle(alpha, "continuous", False,
+    assert_matches_oracle(propagator_and_oracle(alpha, "continuous",
                                                 n=100, iterations=10_000))
 
 
@@ -278,9 +261,11 @@ DEVIATION = np.ix_((0, 1, 3), (0, 1, 3))
 
 
 def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
-                              rate_const=2.0, reset_rates=False):
+                              rate_const=2.0):
     """Reference for rate_sleep_run's blocked ode mode: draws, builds and
-    powers each presentation's propagator on its own, then applies it."""
+    powers each presentation's propagator on its own, then applies it,
+    checking at each presentation in turn for a decay overflow, non-finite
+    rates and non-finite weights."""
     w, w0 = bundle.weights, bundle.init
     n, d = bundle.n, bundle.d
     ideal = math.isinf(circuit.alpha)
@@ -297,8 +282,6 @@ def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuo
         eta = config.schedule(k)
         h = eta * gain
         if h or not ideal:
-            if reset_rates and not ideal:
-                circuit.reset(n)
             s = math.sqrt(float(x @ x))
             x_hat = x / s if s else x
             dw = w - w0
@@ -307,7 +290,11 @@ def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuo
             dev -= mean[:, None]
             step = step_matrix(c, s, h, config.gamma, alpha, circuit.b)
             dev_end = np.linalg.matrix_power(step[DEVIATION], steps) @ dev
-            dec = (1.0 - h * config.gamma) ** steps
+            try:
+                dec = (1.0 - h * config.gamma) ** steps
+            except OverflowError:
+                raise DivergenceError("weight decay factor overflowed",
+                                      f"presentation {k}") from None
             if ideal:
                 a_mean_end = dec * mean[1]
             else:
@@ -316,6 +303,9 @@ def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuo
                 circuit.r[:] = mean_end[0] + dev_end[0]
                 circuit.r_inh = float(mean_end[2])
                 circuit.t_ms += steps * circuit.dt
+                if not np.all(np.isfinite(circuit.r)) or not math.isfinite(circuit.r_inh):
+                    raise DivergenceError("rate dynamics diverged",
+                                          f"presentation {k}, t = {circuit.t_ms:.1f} ms")
                 a_mean_end = mean_end[1]
             if h:
                 dw *= dec
@@ -330,6 +320,8 @@ def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuo
             w -= eta * (settled[:, None] * x[None, :] + config.gamma * (w - w0))
         if ideal or circuit.r.min() >= 0.0:
             nonneg += 1
+        if not np.all(np.isfinite(w)):
+            raise DivergenceError("non-finite weights in rate sleep run", f"presentation {k}")
         traj[k] = ss.neg_log_snr(w)
     return traj, nonneg / config.iterations if config.iterations else 1.0
 
@@ -340,12 +332,11 @@ BLOCK = ss.ratecircuit._BLOCK
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.sampled_from([10.0, math.inf]),
        plasticity=st.sampled_from(["continuous", "terminal"]),
-       reset_rates=st.booleans(),
        warmup=st.sampled_from([0, 5, BLOCK + 2]),
        iterations=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
-       k=st.sampled_from([2, 3]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
-def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, reset_rates,
-                                                       warmup, iterations, k, n, seed):
+       k=st.sampled_from([1, 2, 3]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, warmup,
+                                                       iterations, k, n, seed):
     # the stacked per-block set-up gives the per-presentation bits exactly
     runs = []
     for runner in (ss.rate_sleep_run, propagator_rate_sleep_run):
@@ -355,8 +346,7 @@ def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, reset_
         cfg = ss.SleepConfig(
             gamma=1e-3, schedule=ss.Schedule("inverse_sqrt", 3e-4, 2.0, warmup=warmup),
             iterations=iterations, alpha=alpha)
-        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity,
-                     reset_rates=reset_rates)
+        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity)
         runs.append((out, bundle, circuit, gen))
     (res, bundle, circuit, gen), ((traj, frac), ref_bundle, ref_circuit, ref_gen) = runs
     assert np.array_equal(res.trajectory, traj)
@@ -369,3 +359,43 @@ def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, reset_
     assert circuit.r_inh == ref_circuit.r_inh
     assert circuit.t_ms == ref_circuit.t_ms
     assert np.array_equal(gen.random(4), ref_gen.random(4))
+
+
+def constant_from(start, eta):
+    """A constant schedule that starts at presentation `start` (zero
+    before), so that a blow-up can fall anywhere in a block."""
+    return lambda k: eta if k >= start else 0.0
+
+
+def divergence_outcome(runner, alpha, plasticity, start, eta, gamma, n, seed):
+    """The DivergenceError text a run raises, or its trajectory's bytes."""
+    gen = RngStream(seed, (47,)).generator()
+    bundle = ss.WeightBundle.from_rng(gen, n, 9)
+    cfg = ss.SleepConfig(gamma=gamma, schedule=constant_from(start, eta),
+                         iterations=80, alpha=alpha)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = runner(bundle, make_circuit(alpha=alpha), cfg, gen, plasticity=plasticity)
+    except DivergenceError as e:
+        return str(e)
+    return (out.trajectory if isinstance(out, ss.RateSleepResult) else out[0]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.sampled_from([10.0, math.inf]),
+       plasticity=st.sampled_from(["continuous", "terminal"]),
+       start=st.integers(0, 70), log_eta=st.floats(-1.5, 4.5),
+       gamma=st.sampled_from([1e-3, 1.0]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+# a decay overflow, non-finite rates and non-finite weights, each mid-block
+@example(alpha=10.0, plasticity="continuous", start=40, log_eta=2.0, gamma=1.0, n=6, seed=0)
+@example(alpha=10.0, plasticity="continuous", start=20, log_eta=0.5, gamma=1e-3, n=6, seed=0)
+@example(alpha=math.inf, plasticity="continuous", start=45, log_eta=-0.5, gamma=1e-3, n=6,
+         seed=0)
+@example(alpha=10.0, plasticity="terminal", start=0, log_eta=4.0, gamma=1e-3, n=6, seed=0)
+def test_blocked_runner_diverges_as_per_presentation_oracle(alpha, plasticity, start, log_eta,
+                                                            gamma, n, seed):
+    # the once-per-block checks raise the first error the per-presentation
+    # checks would, with the same presentation and t
+    args = (alpha, plasticity, start, 10.0 ** log_eta, gamma, n, seed)
+    assert (divergence_outcome(ss.rate_sleep_run, *args)
+            == divergence_outcome(propagator_rate_sleep_run, *args))

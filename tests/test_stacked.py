@@ -64,6 +64,46 @@ def test_sentinels_reached_in_a_stack():
     assert ss.neg_log_snr(np.array([[[1.0], [-1.0]]])).tolist() == [ss.NEG_LOG_SNR_ZERO_MEAN]
 
 
+def cell_major_snr(w):
+    """snr of each cell of a C-contiguous cell-major (S, N, D) stack,
+    reduced along each cell's own neuron axis as np.mean and np.var
+    reduce one (N, D) cell."""
+    n, d = w.shape[1], w.shape[2]
+    means = np.add.reduce(w, axis=1, keepdims=True)
+    means /= n
+    sq = w - means
+    np.multiply(sq, sq, out=sq)
+    variances = np.add.reduce(sq, axis=1)
+    variances /= n
+    means = means[:, 0]
+    zero = variances == 0.0
+    if zero.any():
+        return ss.sharing._snr_flat_columns(means, variances, zero)
+    ratio = means * means
+    ratio /= variances
+    return np.add.reduce(ratio, axis=1) / d
+
+
+@st.composite
+def wide_stacks(draw):
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    return draw(arrays(np.float64, shape, elements=st.one_of(coarse, fine)))
+
+
+@PROPERTY
+@given(wide_stacks())
+@example(np.linspace(-1.0, 2.0, 66).reshape(2, 33, 1))             # D = 1, pairwise sums
+@example(np.array([[[1.0, 0.0, 3.0], [1.0, 0.0, 5.0], [1.0, 0.0, 4.0]]]))  # flat columns
+def test_neuron_major_snr_equals_cell_major(w):
+    expect = cell_major_snr(w).tobytes()
+    # a cell-major stack is copied neuron-major; a neuron-major one is read in place
+    assert ss.sharing._snr_stack(w).tobytes() == expect
+    wn = np.ascontiguousarray(w.transpose(1, 0, 2))
+    kept = wn.copy()
+    assert ss.sharing._snr_stack(wn.transpose(1, 0, 2)).tobytes() == expect
+    assert np.array_equal(wn, kept)
+
+
 def _cells(s, n, d, seed):
     gens = [RngStream(seed, (7, i)).generator() for i in range(s)]
     return gens, [ss.WeightBundle.from_rng(g, n, d) for g in gens]
