@@ -23,10 +23,10 @@ from .sharing import (NEG_LOG_SNR_CONVERGED, NEG_LOG_SNR_ZERO_MEAN,
 from .topology import (ConvLayer, GridPartition, LocalLayer, RepeatingPattern,
                        conv_forward, generate_pattern, kaiming_std, lc_forward,
                        make_partition, padded_windows, receptive_field,
-                       shift_input, tie_lc_to_conv)
+                       tie_lc_to_conv)
 from .trainer import (Dataset, LayerStack, TrainConfig, TrainHistory,
-                      augment_translate, build_batch, forward_backward,
-                      read_idx, run_experiment, softmax_cross_entropy, train)
+                      augment_translate, forward_backward, read_idx,
+                      run_experiment, softmax_cross_entropy, train)
 
 __version__ = "0.1.0"
 
@@ -44,10 +44,9 @@ __all__ = [
     "share_kernel_grid_means", "sleep_run", "sleep_step", "snr",
     "ConvLayer", "GridPartition", "LocalLayer", "RepeatingPattern",
     "conv_forward", "generate_pattern", "kaiming_std", "lc_forward",
-    "make_partition", "padded_windows", "receptive_field", "shift_input",
-    "tie_lc_to_conv",
+    "make_partition", "padded_windows", "receptive_field", "tie_lc_to_conv",
     "Dataset", "LayerStack", "TrainConfig", "TrainHistory",
-    "augment_translate", "build_batch", "forward_backward", "read_idx",
+    "augment_translate", "forward_backward", "read_idx",
     "run_experiment", "softmax_cross_entropy", "train",
     "__version__",
 ]

@@ -78,14 +78,6 @@ def _int_min(lo: int, step: int = 1):
     return parse
 
 
-def _fraction(s) -> float:
-    """A finite value in [0, 1)."""
-    v = _finite(s)
-    if not 0.0 <= v < 1.0:
-        raise ValueError(f"must be in [0, 1), got {s!r}")
-    return v
-
-
 def _list_of(item):
     def parse(s):
         return [item(v) for v in str(s).split(",") if v != ""]
@@ -139,14 +131,18 @@ SLEEP_IDEAL_SPEC = {
     "alpha": (_positive_or_inf, math.inf),
 }
 
+# the rate circuit has no heavy-ball state and one shared input, so
+# sleep-ideal's momentum and sigma have no rate counterpart
 SLEEP_RATE_SPEC = {
-    **SLEEP_IDEAL_SPEC,
+    **{k: v for k, v in SLEEP_IDEAL_SPEC.items() if k not in ("momentum", "sigma")},
     "alpha": (_positive_or_inf, 10.0),
     "tau_ms": (_finite, 30.0),
     "dt_ms": (_finite, 1.0),
     "present_ms": (_finite, 150.0),
     "iters": (_int_min(0), 10000),
-    "mode": (_choice("ode", "discrete"), "ode"),
+    # one value: the key stays only while the benchmark's calls
+    # (perfbench/workloads.py) pass --mode ode
+    "mode": (_choice("ode"), "ode"),
     "plasticity": (_choice("continuous", "terminal"), "continuous"),
     "rate_const": (_finite, 2.0),
     "bias": (_finite, 1.0),
@@ -154,7 +150,6 @@ SLEEP_RATE_SPEC = {
     "eta_a": (_finite, 3e-4),
     "eta_b": (_finite, 2.0),
     "warmup": (_int_min(0), 50),
-    "momentum": (_finite, 0.0),
 }
 
 FIXED_POINT_SPEC = {
@@ -206,8 +201,6 @@ TRAIN_SPEC = {
     "reps": (_int_min(1), 16),
     "ws_every": (_int_min(0), 1),
     "pad": (_int_min(0), 4),
-    "optimizer": (_choice(*trainer.OPTIMIZERS), "adamw"),
-    "val_fraction": (_fraction, 0.0),
     "idx_images": (str, ""),
     "idx_labels": (str, ""),
 }
@@ -376,20 +369,21 @@ def _sleep_traj_name(k: int, gamma: float, seed_idx: int) -> str:
 
 def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, int, float]]:
     """Runs cells of one k, writes their trajectories and returns their
-    summary rows. Idealized and discrete-rate cells run as one stack
-    through the idealized runner; ode-mode cells run one at a time."""
+    summary rows. Idealized cells run as one stack through the idealized
+    runner; rate cells run through the circuit one at a time."""
     gens = [RngStream(cfg["seed"], _sleep_stream(*cell)).generator() for cell in cells]
     bundles = [WeightBundle.from_rng(gen, cfg["n"], k * k, mean=cfg["init_mean"],
                                      std=cfg["init_std"])
                for gen, (k, _, _) in zip(gens, cells)]
+    # the rate circuit reads neither momentum nor sigma
+    ideal = {} if rate else dict(momentum=cfg["momentum"], sigma=cfg["sigma"])
     configs = [SleepConfig(
         gamma=gamma, schedule=_schedule_from_cfg(cfg), iterations=cfg["iters"],
-        momentum=cfg["momentum"], input_mean=cfg["input_mean"],
-        input_std=cfg["input_std"], sigma=cfg["sigma"], alpha=cfg["alpha"],
+        input_mean=cfg["input_mean"], input_std=cfg["input_std"], alpha=cfg["alpha"],
+        **ideal,
     ) for (_, gamma, _) in cells]
-    ode = rate and cfg["mode"] == "ode"
     try:
-        if ode:
+        if rate:
             results = [ratecircuit.rate_sleep_run(
                 bundle, _circuit(cfg), config, gen, plasticity=cfg["plasticity"],
                 rate_const=cfg["rate_const"])
@@ -406,10 +400,9 @@ def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, 
             out.write_csv(name, "iteration,neg_log_snr,grid",
                           [(i, float(v), -1) for i, v in enumerate(result.trajectory)])
             if rate:
-                frac = result.frac_nonneg if ode else 1.0
                 out.write_text(name.replace(".csv", ".meta"),
                                f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
-                               f"frac_nonneg={_csv_cell(frac)}\n")
+                               f"frac_nonneg={_csv_cell(result.frac_nonneg)}\n")
         rows.append((k, gamma, seed_idx, result.terminal))
     return rows
 
@@ -421,8 +414,6 @@ def _circuit(cfg) -> ratecircuit.RateCircuit:
 
 
 def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
-    # a discrete-mode alpha=inf rate run takes the identical path (same
-    # streams, same runner) as the idealized command, so the CSVs match
     cells = [(k, g, s) for k in cfg["k"] for g in cfg["gamma"]
              for s in range(cfg["seeds"])]
     _reject_collisions(cells, [_sleep_stream(*c) for c in cells],
@@ -430,7 +421,7 @@ def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
     if not all(g > 0 for g in cfg["gamma"]):
         raise UsageError(f"every gamma must be > 0, got {_fmt_value(cfg['gamma'])}")
 
-    if rate and cfg["mode"] == "ode":
+    if rate:
         units = [[cell] for cell in cells]
     else:
         # one stack per k: its cells share the weight shape (n, k*k)
@@ -447,20 +438,7 @@ def cmd_sleep_ideal(cfg, out: RunDir) -> int:
     return _cmd_sleep(cfg, out, rate=False)
 
 
-# Settings one sleep-rate mode never reads: the discrete rule has no
-# circuit, and the circuit has no heavy-ball state and one shared input.
-# A run refuses a value other than the default rather than record a
-# setting that did nothing.
-_ODE_ONLY = ("plasticity", "rate_const", "tau_ms", "dt_ms", "present_ms", "bias")
-_DISCRETE_ONLY = ("momentum", "sigma")
-
-
 def cmd_sleep_rate(cfg, out: RunDir) -> int:
-    unused = _DISCRETE_ONLY if cfg["mode"] == "ode" else _ODE_ONLY
-    for key in unused:
-        if cfg[key] != SLEEP_RATE_SPEC[key][1]:
-            raise UsageError(f"--{key.replace('_', '-')} is not used in {cfg['mode']} "
-                             f"mode; got {cfg[key]}")
     if not (math.isfinite(cfg["rate_const"]) and cfg["rate_const"] >= 0):
         # a negative gain would flip the anti-Hebbian rule to Hebbian
         raise UsageError(f"rate_const must be finite and >= 0, got {cfg['rate_const']}")
@@ -648,8 +626,7 @@ def _arm_kwargs(cfg, arm_spec: str, image: int) -> Tuple[str, Dict[str, object]]
         train_size=cfg["train_size"], test_size=cfg["test_size"],
         image=cfg["image"], noise=cfg["noise"], channels=cfg["channels"],
         kernel=cfg["kernel"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        lr=cfg["lr"], weight_decay=cfg["weight_decay"], optimizer=cfg["optimizer"],
-        val_fraction=cfg["val_fraction"],
+        lr=cfg["lr"], weight_decay=cfg["weight_decay"],
         idx_images=cfg["idx_images"] or None, idx_labels=cfg["idx_labels"] or None,
         reps=reps, ws_every=param or cfg["ws_every"], pad=cfg["pad"],
     )
@@ -740,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
     helps = {
         "sleep-ideal": "idealized equalization sweeps over (k, gamma, seed)",
-        "sleep-rate": "rate-circuit equalization (ODE or discrete updates)",
+        "sleep-rate": "E/I rate-circuit equalization (the ODE)",
         "fixed-point": "closed-form vs simulated stationary weights",
         "noise-floor": "decay-rate and noise-plateau measurements",
         "train": "one desk-scale training arm",

@@ -249,6 +249,11 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        # Python floats, so step sizes are too: a numpy scalar would make
+        # an overflowing decay power in rate_sleep_run a silent inf, not
+        # the OverflowError it reports
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
 
     def __call__(self, k: int) -> float:
         if self.kind == "constant":

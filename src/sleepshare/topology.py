@@ -54,7 +54,6 @@ __all__ = [
     "tie_lc_to_conv",
     "make_partition",
     "generate_pattern",
-    "shift_input",
     "padded_windows",
     "receptive_field",
     "kaiming_std",
@@ -111,11 +110,6 @@ class LocalLayer:
             raise ShapeError(f"LocalLayer weights must be {expect}, got {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("LocalLayer weights must be finite")
-
-    @classmethod
-    def zeros(cls, in_channels, out_channels, height, width, kernel, **kw) -> "LocalLayer":
-        w = np.zeros((out_channels, in_channels, height, width, kernel, kernel))
-        return cls(in_channels, out_channels, height, width, kernel, w, **kw)
 
     @classmethod
     def kaiming(cls, rng, in_channels, out_channels, height, width, kernel, **kw) -> "LocalLayer":
@@ -312,11 +306,9 @@ def tie_lc_to_conv(layer: LocalLayer, kernel: np.ndarray) -> LocalLayer:
 
 @dataclass(frozen=True)
 class GridPartition:
-    """Residue classes of spatial positions mod k.
-
-    2-D: k*k grids, grid (g1, g2) = {(y, x) : y = g1, x = g2 (mod k)},
-    flattened to index g1 * k + g2. 1-D (height == 1): k grids of column
-    indices.
+    """Residue classes of spatial positions mod k: k*k grids, grid
+    (g1, g2) = {(y, x) : y = g1, x = g2 (mod k)}, flattened to index
+    g1 * k + g2.
     """
 
     k: int
@@ -328,26 +320,19 @@ class GridPartition:
     def count(self) -> int:
         return len(self.grids)
 
-    @property
-    def one_dimensional(self) -> bool:
-        return self.height == 1
-
     def positions(self, grid_index: int) -> np.ndarray:
-        """Grid members: (P, 2) array of (y, x) rows, or (P,) columns in 1-D."""
+        """Grid members: (P, 2) array of (y, x) rows."""
         return np.array(self.grids[grid_index])
 
 
 def make_partition(k: int, height: int, width: int) -> GridPartition:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if height == 1:
-        grids = tuple(tuple(x for x in range(width) if x % k == g) for g in range(k))
-    else:
-        grids = tuple(
-            tuple((y, x) for y in range(height) for x in range(width)
-                  if y % k == g1 and x % k == g2)
-            for g1 in range(k) for g2 in range(k)
-        )
+    grids = tuple(
+        tuple((y, x) for y in range(height) for x in range(width)
+              if y % k == g1 and x % k == g2)
+        for g1 in range(k) for g2 in range(k)
+    )
     return GridPartition(k=k, height=height, width=width, grids=grids)
 
 
@@ -373,7 +358,7 @@ def generate_pattern(partition: GridPartition, grid_index: int,
     k = partition.k
     if not (0 <= grid_index < partition.count):
         raise ValueError(f"grid_index {grid_index} out of range [0, {partition.count})")
-    shape = (k,) if partition.one_dimensional else (k, k)
+    shape = (k, k)
     if base is None:
         if rng is None:
             raise ValueError("generate_pattern: need base or rng")
@@ -382,22 +367,11 @@ def generate_pattern(partition: GridPartition, grid_index: int,
     base = np.asarray(base, dtype=np.float64)
     if base.shape != shape:
         raise ShapeError(f"base must be {shape}, got {base.shape}")
-    if partition.one_dimensional:
-        g = grid_index
-        xs = np.arange(partition.width)
-        values = base[(xs - g) % k]
-    else:
-        g1, g2 = divmod(grid_index, k)
-        ys = np.arange(partition.height)[:, None]
-        xs = np.arange(partition.width)[None, :]
-        values = base[(ys - g1) % k, (xs - g2) % k]
+    g1, g2 = divmod(grid_index, k)
+    ys = np.arange(partition.height)[:, None]
+    xs = np.arange(partition.width)[None, :]
+    values = base[(ys - g1) % k, (xs - g2) % k]
     return RepeatingPattern(base=base, values=values, active_grid=grid_index, k=k)
-
-
-def shift_input(x: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Cyclic shift of the two spatial (trailing) axes."""
-    x = np.asarray(x)
-    return np.roll(np.roll(x, dy, axis=-2), dx, axis=-1)
 
 
 def receptive_field(layer, x: np.ndarray, y: int, xpos: int) -> np.ndarray:

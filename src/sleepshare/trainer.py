@@ -51,12 +51,9 @@ from .topology import (Workspace, kaiming_std, local_forward, position_weights,
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
-    "shape_masks", "augment_translate", "build_batch",
-    "forward_backward", "AdamW", "SgdMomentum", "OPTIMIZERS",
+    "shape_masks", "augment_translate", "forward_backward", "AdamW",
     "train", "run_experiment", "read_idx", "read_idx_pair", "load_idx_pair",
 ]
-
-OPTIMIZERS = ("adamw", "sgd")
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +166,10 @@ def _translate(images: np.ndarray, reps: int, pad: int, gen: np.random.Generator
     return crops[src, :, offsets[:, 0], offsets[:, 1]]
 
 
-def build_batch(dataset: Dataset, batch_size: int, reps: int, pad: int,
-                gen: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """batch_size/reps distinct images, each entering reps times under
-    independent translations; total batch size stays fixed."""
-    if reps < 1 or batch_size % reps != 0:
-        raise ValueError(f"reps ({reps}) must divide batch size ({batch_size})")
-    distinct = batch_size // reps
-    if distinct > len(dataset):
-        raise ValueError(f"need {distinct} distinct images, dataset has {len(dataset)}")
-    idx = gen.choice(len(dataset), size=distinct, replace=False)
-    return _assemble(dataset, idx, reps, pad, gen)
-
-
 def _assemble(dataset: Dataset, idx: np.ndarray, reps: int, pad: int,
               gen: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """The images idx, each entering reps times in a row under independent
+    translations, and their labels: one training batch."""
     images = _translate(dataset.images[idx], reps, pad, gen, dataset.mean_value)
     return images, np.repeat(dataset.labels[idx], reps)
 
@@ -194,7 +180,6 @@ def _assemble(dataset: Dataset, idx: np.ndarray, reps: int, pad: int,
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adamw"          # one of OPTIMIZERS
     lr: float = 3e-3
     weight_decay: float = 1e-4
     batch_size: int = 64
@@ -204,8 +189,6 @@ class TrainConfig:
     ws_every_n: int = 0               # 0 = never
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.reps < 1 or self.batch_size % self.reps != 0:
             raise ValueError("reps must divide batch size")
         if self.ws_every_n < 0:
@@ -400,7 +383,7 @@ def forward_backward(stack: LayerStack, batch: np.ndarray, labels: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 
 
 class AdamW:
@@ -456,25 +439,6 @@ class AdamW:
         self.v[name] = share_kernel_grid_means(self.v[name], k, scale_by_group=True)
 
 
-class SgdMomentum:
-    def __init__(self, params: Dict[str, np.ndarray], lr: float, momentum: float = 0.9):
-        self.lr = lr
-        self.momentum = momentum
-        self.vel = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def step(self, params, grads):
-        out = {}
-        for name, p in params.items():
-            vel = self.vel[name]
-            vel *= self.momentum
-            vel += grads[name]
-            out[name] = p - self.lr * vel
-        return out
-
-    def share_state(self, name: str, k: int) -> None:
-        self.vel[name] = share_kernel_grid_means(self.vel[name], k)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -512,7 +476,7 @@ def _evaluate(stack: LayerStack, images: np.ndarray, labels: np.ndarray, where: 
 
 
 def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
-          gen: np.random.Generator, val: Optional[Dataset] = None) -> TrainHistory:
+          gen: np.random.Generator) -> TrainHistory:
     """Run the full schedule; every ws_every_n batches (when set) each LC
     layer is projected to its grid means with the optimizer state
     projected alongside, logging -log snr just before and after. A
@@ -520,14 +484,11 @@ def train(stack: LayerStack, data: Dataset, test: Dataset, config: TrainConfig,
     DivergenceError naming where."""
     # a diverging run overflows before its loss check names where
     with np.errstate(over="ignore", invalid="ignore"):
-        return _train(stack, data, test, config, gen, val)
+        return _train(stack, data, test, config, gen)
 
 
-def _train(stack, data, test, config, gen, val) -> TrainHistory:
-    if config.optimizer == "adamw":
-        opt = AdamW(stack.params, config.lr, config.weight_decay)
-    else:
-        opt = SgdMomentum(stack.params, config.lr)
+def _train(stack, data, test, config, gen) -> TrainHistory:
+    opt = AdamW(stack.params, config.lr, config.weight_decay)
     history = TrainHistory()
     milestones = config.resolved_milestones()
     n = len(data)
@@ -555,9 +516,6 @@ def _train(stack, data, test, config, gen, val) -> TrainHistory:
                     history.events.append((nb, name, pre, post))
         tr_acc, tr_loss = _evaluate(stack, data.images, data.labels, f"epoch {epoch}, train")
         history.metrics.append((epoch, "train", tr_acc, tr_loss))
-        if val is not None and len(val):
-            v_acc, v_loss = _evaluate(stack, val.images, val.labels, f"epoch {epoch}, val")
-            history.metrics.append((epoch, "val", v_acc, v_loss))
         te_acc, te_loss = _evaluate(stack, test.images, test.labels, f"epoch {epoch}, test")
         history.metrics.append((epoch, "test", te_acc, te_loss))
     return history
@@ -567,8 +525,7 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
                    image: int = 16, noise: float = 0.15, channels: int = 8,
                    kernel: int = 3, epochs: int = 60, batch_size: int = 64,
                    lr: float = 3e-3, weight_decay: float = 1e-4, reps: int = 16,
-                   ws_every: int = 1, pad: int = 4, optimizer: str = "adamw",
-                   val_fraction: float = 0.0,
+                   ws_every: int = 1, pad: int = 4,
                    idx_images: Optional[str] = None,
                    idx_labels: Optional[str] = None) -> TrainHistory:
     """One arm end to end. Arms: "conv", "lc", "lc-reps" (translation
@@ -588,14 +545,9 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
         data = Dataset.synthetic(train_size, gen, image, noise)
         test = Dataset.synthetic(test_size, gen, image, noise)
         n_classes = N_SHAPE_CLASSES
-    val = None
-    if val_fraction > 0:
-        n_val = int(len(data) * val_fraction)
-        val = Dataset(data.images[:n_val], data.labels[:n_val], data.mean_value)
-        data = Dataset(data.images[n_val:], data.labels[n_val:], data.mean_value)
     kind = "conv" if arm == "conv" else "lc"
     config = TrainConfig(
-        optimizer=optimizer, lr=lr, weight_decay=weight_decay,
+        lr=lr, weight_decay=weight_decay,
         batch_size=batch_size, epochs=epochs,
         reps=reps if arm == "lc-reps" else 1,
         pad=pad if arm == "lc-reps" else 0,
@@ -603,4 +555,4 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
     )
     stack = LayerStack(kind, gen, image=image, channels=channels, kernel=kernel,
                        n_classes=n_classes, grid_tied=(arm == "lc-ws"))
-    return train(stack, data, test, config, gen, val=val)
+    return train(stack, data, test, config, gen)

@@ -33,6 +33,8 @@ def read_manifest(path):
 
 
 SMALL_SLEEP = ["--k", "3", "--gamma", "1e-2", "--seeds", "1", "--iters", "20"]
+TINY_TRAIN = ["--train-size", "32", "--test-size", "16", "--image", "8",
+              "--channels", "2", "--epochs", "2", "--batch-size", "16"]
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -94,26 +96,15 @@ def test_trajectory_schema(tmp_path):
     assert rows[-1]["iteration"] == "19"
 
 
-def test_discrete_rate_run_equals_ideal_run(tmp_path):
-    ideal, rate = tmp_path / "ideal", tmp_path / "rate"
-    common = [*SMALL_SLEEP, "--iters", "50"]
-    assert run("sleep-ideal", *common, "--out", str(ideal)) == 0
-    assert run("sleep-rate", "--mode", "discrete", "--alpha", "inf",
-               "--schedule", "inverse_time", "--eta-a", "0.5", "--eta-b", "1000",
-               "--warmup", "0", "--momentum", "0.95", *common,
-               "--out", str(rate)) == 0
-    for name in ("traj_k3_g0.01_s0.csv", "summary.csv"):
-        assert (ideal / name).read_bytes() == (rate / name).read_bytes()
-
-
 def test_ode_terminal_plasticity_tracks_discrete(tmp_path):
-    # one update per settled presentation equals the discrete rule up to
-    # the exp(-present/tau) settling error
+    # one update per settled presentation equals the discrete rule at the
+    # same alpha (sleep-ideal --alpha) up to the exp(-present/tau)
+    # settling error
     common = ["--k", "3", "--gamma", "1e-2", "--seeds", "1", "--iters", "300",
               "--schedule", "inverse_time", "--eta-a", "0.5", "--eta-b", "1000",
-              "--warmup", "0", "--momentum", "0", "--alpha", "10"]
+              "--warmup", "0", "--alpha", "10"]
     d, o = tmp_path / "disc", tmp_path / "ode"
-    assert run("sleep-rate", "--mode", "discrete", *common, "--out", str(d)) == 0
+    assert run("sleep-ideal", *common, "--momentum", "0", "--out", str(d)) == 0
     assert run("sleep-rate", "--mode", "ode", "--plasticity", "terminal",
                *common, "--out", str(o)) == 0
     terms = [float(read_rows(p / "summary.csv")[0]["terminal_neg_log_snr"])
@@ -175,10 +166,9 @@ def test_rate_divergence_prints_only_the_failure(tmp_path, capfd):
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
 @pytest.mark.parametrize("argv", [
     ["sleep-rate", "--mode", "ode", *SMALL_SLEEP],
-    ["sleep-rate", "--mode", "discrete", *SMALL_SLEEP],
     ["sleep-ideal", *SMALL_SLEEP],
     ["fixed-point", "--instances", "1"],
-], ids=["ode", "discrete", "sleep-ideal", "fixed-point"])
+], ids=["ode", "sleep-ideal", "fixed-point"])
 def test_rate_rejects_nonpositive_alpha(tmp_path, argv, alpha):
     out = tmp_path / "o"
     assert run(*argv, "--alpha", alpha, "--out", str(out)) == cli.EXIT_USAGE
@@ -194,38 +184,44 @@ def test_sweep_rejects_nonpositive_gamma(tmp_path, sub):
 
 
 @pytest.mark.parametrize("sub,flag", [("sleep-ideal", "--schedule"),
-                                      ("train", "--optimizer")])
+                                      ("sleep-rate", "--mode")])
 def test_rejects_unknown_choice(tmp_path, sub, flag):
     out = tmp_path / "o"
     assert run(sub, flag, "foo", "--out", str(out)) == cli.EXIT_USAGE
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--momentum", "--sigma"])
-def test_ode_rejects_discrete_only_flags(tmp_path, flag):
+@pytest.mark.parametrize("argv", [
+    ["sleep-rate", *SMALL_SLEEP, "--mode", "discrete"],
+    ["sleep-rate", *SMALL_SLEEP, "--momentum", "0.5"],
+    ["sleep-rate", *SMALL_SLEEP, "--sigma", "0.1"],
+    ["train", *TINY_TRAIN, "--optimizer", "sgd"],
+    ["train", *TINY_TRAIN, "--val-fraction", "0.25"],
+], ids=["mode-discrete", "momentum", "sigma", "optimizer", "val-fraction"])
+def test_deleted_settings_exit_2_before_work(tmp_path, argv):
     out = tmp_path / "o"
-    assert run("sleep-rate", "--mode", "ode", flag, "0.5", *SMALL_SLEEP,
-               "--out", str(out)) == cli.EXIT_USAGE
+    assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--plasticity", "terminal"), ("--rate-const", "7"),
-                                        ("--tau-ms", "20"), ("--dt-ms", "0.5"),
-                                        ("--present-ms", "100"), ("--bias", "0.5")])
-def test_discrete_rejects_ode_only_flags(tmp_path, flag, value):
-    # discrete mode never reads them; a manifest would record a setting that did nothing
+@pytest.mark.parametrize("sub,line", [
+    ("sleep-rate", "cfg.reset_rates=False"),
+    ("sleep-rate", "cfg.momentum=0.0"),
+    ("sleep-rate", "cfg.sigma=0.0"),
+    ("sleep-rate", "cfg.mode=discrete"),
+    ("train", "cfg.optimizer=adamw"),
+    ("train", "cfg.val_fraction=0.0"),
+], ids=["reset_rates", "momentum", "sigma", "mode-discrete", "optimizer", "val_fraction"])
+def test_replay_refuses_deleted_keys(tmp_path, sub, line):
+    # a manifest written while the setting existed records it
     out = tmp_path / "o"
-    assert run("sleep-rate", "--mode", "discrete", flag, value, *SMALL_SLEEP,
-               "--out", str(out)) == cli.EXIT_USAGE
-    assert not out.exists()
-
-
-def test_replay_refuses_the_deleted_reset_rates_key(tmp_path):
-    out = tmp_path / "o"
-    assert run("sleep-rate", *SMALL_SLEEP, "--iters", "2", "--out", str(out)) == 0
+    size = [*SMALL_SLEEP, "--iters", "2"] if sub == "sleep-rate" else TINY_TRAIN
+    assert run(sub, *size, "--out", str(out)) == 0
     old = tmp_path / "old_manifest.txt"
-    old.write_text((out / "manifest.txt").read_text() + "cfg.reset_rates=False\n")
-    assert run("sleep-rate", "--replay", str(old), "--out", str(tmp_path / "r")) == cli.EXIT_USAGE
+    old.write_text((out / "manifest.txt").read_text() + line + "\n")
+    redo = tmp_path / "r"
+    assert run(sub, "--replay", str(old), "--out", str(redo)) == cli.EXIT_USAGE
+    assert not redo.exists()
 
 
 @pytest.mark.parametrize("sweep", [["--gamma", "0.001,0.0010000001"],
@@ -298,19 +294,21 @@ def test_replay_rejects_other_subcommand(tmp_path):
                "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
 
 
-def test_parallel_cells_byte_identical(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["sleep-ideal", "--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20"],
+    ["sleep-rate", "--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20"],
+    ["noise-floor", "--seeds", "2", "--iters", "5", "--slope-iters", "20"],
+    ["compare", "--arms", "conv,lc-ws:1", "--seeds", "2", *TINY_TRAIN],
+], ids=lambda argv: argv[0])
+def test_parallel_cells_byte_identical(tmp_path, argv):
+    # every output but the manifest (which records jobs and the duration)
     a, b = tmp_path / "j1", tmp_path / "j4"
-    args = ["--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20"]
-    assert run("sleep-ideal", *args, "--jobs", "1", "--out", str(a)) == 0
-    assert run("sleep-ideal", *args, "--jobs", "4", "--out", str(b)) == 0
-    names = sorted(p.name for p in a.glob("*.csv"))
-    assert names == sorted(p.name for p in b.glob("*.csv"))
+    assert run(*argv, "--jobs", "1", "--out", str(a)) == 0
+    assert run(*argv, "--jobs", "4", "--out", str(b)) == 0
+    names = sorted(p.name for p in a.iterdir() if p.name != "manifest.txt")
+    assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.txt")
     for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-TINY_TRAIN = ["--train-size", "32", "--test-size", "16", "--image", "8",
-              "--channels", "2", "--epochs", "2", "--batch-size", "16"]
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_train_schema_and_determinism(tmp_path):
@@ -474,7 +472,7 @@ def _idx_files(tmp_path, n=20, side=8, header_only=False):
 @pytest.mark.parametrize("case", [
     "missing-idx", "short-idx-header", "labels-without-images", "odd-idx-side",
     "idx-leaves-no-test", "image-odd", "kernel-even", "channels-0", "train-size-0",
-    "test-size-0", "epochs-0", "val-fraction-1", "reps-not-dividing-batch",
+    "test-size-0", "epochs-0", "reps-not-dividing-batch",
     "arm-parameter-0", "arm-parameter-on-conv", "ws-kernel-over-half-image",
     "compare-reps-not-dividing-batch", "noise-negative", "compare-noise-negative",
 ])
@@ -494,7 +492,6 @@ def test_train_rejects_bad_input_before_work(tmp_path, case):
         "train-size-0": ["--train-size", "0"],
         "test-size-0": ["--test-size", "0"],
         "epochs-0": ["--epochs", "0"],
-        "val-fraction-1": ["--val-fraction", "1"],
         "reps-not-dividing-batch": ["--arm", "lc-reps:16", "--batch-size", "50"],
         "arm-parameter-0": ["--arm", "lc-reps:0"],
         "arm-parameter-on-conv": ["--arm", "conv:5"],
@@ -540,7 +537,6 @@ def test_subcommands_import_nothing_after_start_up(tmp_path):
     calls = [
         ["sleep-ideal", *SMALL_SLEEP],
         ["sleep-rate", *SMALL_SLEEP, "--mode", "ode"],
-        ["sleep-rate", *SMALL_SLEEP, "--mode", "discrete"],
         ["fixed-point", "--instances", "2", "--n-max", "3", "--d-max", "3"],
         ["fixed-point", "--instances", "1", "--gamma", "0"],
         ["noise-floor", "--seeds", "1", "--iters", "5", "--slope-iters", "20"],

@@ -122,6 +122,20 @@ def test_mode_and_plasticity_validation():
         ss.rate_sleep_run(bundle, make_circuit(), cfg, gen, plasticity="batch")
 
 
+@pytest.mark.parametrize("eta", [100.0, np.float64(100.0)], ids=["float", "numpy-float"])
+def test_decay_overflow_reported_for_any_float_schedule(eta):
+    # (1 - eta * gamma)^150 = (-99)^150 overflows a Python float with an
+    # OverflowError; a numpy float step size would overflow to inf silently
+    gen = np.random.default_rng(0)
+    bundle = ss.WeightBundle.from_rng(gen, 6, 9)
+    schedule = ss.Schedule("constant", eta)
+    assert type(schedule.a) is float and type(schedule.b) is float
+    cfg = ss.SleepConfig(gamma=1.0, schedule=schedule, iterations=5)
+    with pytest.raises(DivergenceError,
+                       match=r"^weight decay factor overflowed \[presentation 0\]$"):
+        ss.rate_sleep_run(bundle, make_circuit(), cfg, gen)
+
+
 def test_frac_nonneg_accounting():
     # equalized weights leave every settled rate at the bias, so the
     # nonnegative fraction is 1; a huge spread drives rates negative

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sleepshare as ss
@@ -15,6 +15,32 @@ from sleepshare.mathcore import RngStream
 def test_snr_hand_values():
     assert ss.snr(np.array([[1.0, 0.0], [0.0, 1.0]])) == 1.0
     assert ss.neg_log_snr(np.array([[1.0, 0.0], [0.0, 1.0]])) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["spread", "converged", "flat-column", "dead-column",
+                             "zero-mean"]),
+       n=st.integers(3, 8), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_snr_invariant_under_row_permutation(kind, n, d, seed):
+    gen = np.random.default_rng(seed)
+    w = gen.normal(1.0, 1.0, size=(n, d))
+    if kind == "converged":
+        w[:] = w[0]
+    elif kind == "flat-column":
+        w[:, -1] = w[0, -1]
+    elif kind == "dead-column":
+        w[:, -1] = 0.0
+    elif kind == "zero-mean":
+        # a row and its negative sum to exactly zero in either order
+        w = np.stack([w[0], -w[0]])
+    want = ss.snr(w)
+    moved = w[gen.permutation(len(w))]
+    got = ss.snr(moved)
+    if want in (0.0, math.inf) or got in (0.0, math.inf):
+        assert got == want
+        assert ss.neg_log_snr(moved) == ss.neg_log_snr(w)
+    else:
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_snr_converged_sentinel():
@@ -189,11 +215,21 @@ def test_share_grid_means_hand_case():
     assert np.allclose(out[0, 0, 3, 0], (a + b) / 2, atol=1e-14)
 
 
-def test_share_grid_means_idempotent_bitwise():
-    w = np.random.default_rng(8).normal(size=(2, 3, 9, 9, 3, 3))
-    once = ss.share_kernel_grid_means(w, 3)
-    twice = ss.share_kernel_grid_means(once, 3)
-    assert np.array_equal(once, twice)
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([2, 3, 5]), h=st.integers(2, 17), w=st.integers(2, 17),
+       o=st.integers(1, 2), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(k=3, h=9, w=9, o=2, c=3, seed=8)
+def test_share_grid_means_idempotent_bitwise(k, h, w, o, c, seed):
+    # every grid needs a member; where H or W is not a multiple of k (most
+    # draws) the edge grids hold fewer members than the others
+    assume(min(h, w) >= k)
+    kernels = np.random.default_rng(seed).normal(size=(o, c, h, w, k, k))
+    once = ss.share_kernel_grid_means(kernels, k)
+    assert np.array_equal(ss.share_kernel_grid_means(once, k), once)
+    for gy in range(k):
+        for gx in range(k):
+            mean = kernels[:, :, gy::k, gx::k].mean(axis=(2, 3), keepdims=True)
+            assert np.abs(once[:, :, gy::k, gx::k] - mean).max() <= 1e-12
 
 
 def test_share_scale_by_group():

@@ -8,7 +8,7 @@ from sleepshare.sharing import instant_share
 from sleepshare.topology import (ConvLayer, LocalLayer, conv_forward,
                                  generate_pattern, kaiming_std, lc_forward,
                                  make_partition, padded_windows,
-                                 receptive_field, shift_input, tie_lc_to_conv)
+                                 receptive_field, tie_lc_to_conv)
 
 
 def test_lc_zero_input_zero_output():
@@ -88,7 +88,7 @@ def test_tie_zero_kernel_zero_layer():
 def test_tie_perturbation_is_local():
     rng = np.random.default_rng(8)
     cv = ConvLayer.kaiming(np.random.default_rng(9), 1, 2, 6, 6, 3)
-    lc = LocalLayer.zeros(1, 2, 6, 6, 3)
+    lc = LocalLayer(1, 2, 6, 6, 3, np.zeros((2, 1, 6, 6, 3, 3)))
     tied = tie_lc_to_conv(lc, cv.weights)
     x = rng.normal(size=(1, 6, 6))
     base = lc_forward(tied, x)
@@ -102,15 +102,9 @@ def test_tie_perturbation_is_local():
 
 
 def test_tie_shape_error():
-    lc = LocalLayer.zeros(1, 2, 4, 4, 3)
+    lc = LocalLayer(1, 2, 4, 4, 3, np.zeros((2, 1, 4, 4, 3, 3)))
     with pytest.raises(ShapeError):
         tie_lc_to_conv(lc, np.zeros((2, 1, 5, 5)))
-
-
-def test_partition_1d_k3():
-    p = make_partition(3, 1, 6)
-    got = [sorted(int(v) for v in p.positions(g).ravel()) for g in range(p.count)]
-    assert got == [[0, 3], [1, 4], [2, 5]]
 
 
 def test_partition_k1_single_grid():
@@ -134,14 +128,6 @@ def test_pattern_constant_base():
     p = make_partition(3, 9, 9)
     pat = generate_pattern(p, 0, base=np.full((3, 3), 2.5))
     assert np.array_equal(pat.values, np.full((9, 9), 2.5))
-
-
-def test_pattern_1d_tiling():
-    p = make_partition(3, 1, 9)
-    pat = generate_pattern(p, 0, base=np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(pat.values, np.array([1, 2, 3] * 3, dtype=float))
-    shifted = generate_pattern(p, 1, base=np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(shifted.values, np.array([3, 1, 2] * 3, dtype=float))
 
 
 def test_pattern_out_of_range():
@@ -176,25 +162,18 @@ def test_pattern_set_spans_full_rank():
     assert np.linalg.matrix_rank(np.array(rows)) == 9
 
 
-def test_shift_identities():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(2, 5, 7))
-    assert np.array_equal(shift_input(x, 0, 0), x)
-    assert np.array_equal(shift_input(x, 5, 0), x)
-    assert np.array_equal(shift_input(shift_input(x, 2, 3), -2, -3), x)
-
-
 def test_stride_k_equivariance_after_sharing():
     rng = np.random.default_rng(13)
     layer = LocalLayer.kaiming(np.random.default_rng(14), 1, 2, 9, 9, 3,
                                padding_mode="circular")
     instant_share(layer)
     x = rng.normal(size=(1, 9, 9))
-    lhs = lc_forward(layer, shift_input(x, 3, 0))
-    rhs = shift_input(lc_forward(layer, x), 3, 0)
+    # cyclic shifts by multiples of k along each spatial axis
+    lhs = lc_forward(layer, np.roll(x, 3, axis=-2))
+    rhs = np.roll(lc_forward(layer, x), 3, axis=-2)
     assert np.abs(lhs - rhs).max() < 1e-9
-    lhs = lc_forward(layer, shift_input(x, 0, 6))
-    rhs = shift_input(lc_forward(layer, x), 0, 6)
+    lhs = lc_forward(layer, np.roll(x, 6, axis=-1))
+    rhs = np.roll(lc_forward(layer, x), 6, axis=-1)
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -220,4 +199,4 @@ def test_layer_shape_validation():
     with pytest.raises(ShapeError):
         LocalLayer(1, 1, 4, 4, 3, np.zeros((1, 1, 4, 4, 5, 5)))
     with pytest.raises(ValueError):
-        LocalLayer.zeros(1, 1, 4, 4, 2)  # even kernel
+        LocalLayer(1, 1, 4, 4, 2, np.zeros((1, 1, 4, 4, 2, 2)))  # even kernel

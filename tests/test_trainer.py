@@ -10,9 +10,9 @@ import sleepshare as ss
 from sleepshare import topology
 from sleepshare.errors import DivergenceError
 from sleepshare.mathcore import RngStream
-from sleepshare.trainer import (AdamW, Dataset, LayerStack, SgdMomentum,
-                                TrainConfig, _assemble, _evaluate, augment_translate,
-                                build_batch, forward_backward, read_idx, load_idx_pair,
+from sleepshare.trainer import (AdamW, Dataset, LayerStack, TrainConfig, _assemble,
+                                _evaluate, augment_translate, forward_backward,
+                                read_idx, load_idx_pair,
                                 run_experiment, shape_masks,
                                 softmax_cross_entropy, train)
 from sleepshare.topology import padded_windows, tile_kernel
@@ -177,35 +177,30 @@ def _identity_readable(n, value_scale=1.0):
     return Dataset(images=imgs, labels=np.arange(n) % 4, mean_value=0.0)
 
 
-def test_build_batch_reps_one_all_distinct():
-    ds = _identity_readable(10)
-    xb, yb = build_batch(ds, 6, 1, 0, np.random.default_rng(5))
-    ids = {int(x[0, 0, 0]) for x in xb}
-    assert len(ids) == 6
-    assert len(yb) == 6
+@pytest.mark.parametrize("reps", [1, 4, 8])
+def test_train_batches_hold_each_image_reps_times(reps):
+    # per epoch every training image enters reps times, its copies side
+    # by side in one batch of the fixed size: reps 1 gives all-distinct
+    # batches, reps 8 one image per batch
+    ds = _identity_readable(16)
+    stack = LayerStack("lc", np.random.default_rng(5), image=4, channels=2)
+    seen = []
 
+    def record(stack, xb, yb):
+        seen.append(xb[:, 0, 0, 0].astype(int))
+        assert np.array_equal(yb, seen[-1] % 4)
+        return forward_backward(stack, xb, yb)
 
-def test_build_batch_full_reps_single_image():
-    ds = _identity_readable(10)
-    xb, yb = build_batch(ds, 6, 6, 0, np.random.default_rng(6))
-    ids = [int(x[0, 0, 0]) for x in xb]
-    assert len(set(ids)) == 1
-    assert len(set(yb.tolist())) == 1
-
-
-def test_build_batch_grouped_counts():
-    ds = _identity_readable(10)
-    xb, _ = build_batch(ds, 8, 4, 0, np.random.default_rng(7))
-    ids = [int(x[0, 0, 0]) for x in xb]
-    assert sorted(np.bincount(ids)[np.bincount(ids) > 0].tolist()) == [4, 4]
-
-
-def test_build_batch_validation():
-    ds = _identity_readable(3)
-    with pytest.raises(ValueError, match="divide"):
-        build_batch(ds, 6, 4, 0, np.random.default_rng(8))
-    with pytest.raises(ValueError, match="distinct"):
-        build_batch(ds, 6, 1, 0, np.random.default_rng(8))
+    with mock.patch("sleepshare.trainer.forward_backward", side_effect=record):
+        train(stack, ds, ds, TrainConfig(batch_size=8, epochs=2, reps=reps),
+              np.random.default_rng(6))
+    assert all(len(ids) == 8 for ids in seen)
+    per_epoch = len(seen) // 2
+    for epoch in (seen[:per_epoch], seen[per_epoch:]):
+        ids = np.concatenate(epoch)
+        assert np.array_equal(np.bincount(ids, minlength=16), np.full(16, reps))
+        groups = ids.reshape(-1, reps)
+        assert np.all(groups == groups[:, :1])
 
 
 def test_softmax_cross_entropy_hand():
@@ -287,26 +282,15 @@ def test_adamw_step_size_invariant_to_gradient_scale():
         assert abs(abs(cur["w"][0] - prev[0]) - 0.01) < 0.01 * 0.02, scale
 
 
-def test_sgd_momentum_hand():
-    p = {"w": np.array([1.0])}
-    opt = SgdMomentum(p, lr=0.1, momentum=0.5)
-    p1 = opt.step(p, {"w": np.array([2.0])})
-    assert abs(p1["w"][0] - (1.0 - 0.1 * 2.0)) < 1e-15
-    p2 = opt.step(p1, {"w": np.array([2.0])})
-    # velocity: 0.5 * 2 + 2 = 3
-    assert abs(p2["w"][0] - (p1["w"][0] - 0.1 * 3.0)) < 1e-15
-
-
-@pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
-def test_optimizer_steps_match_out_of_place_updates(cls):
+def test_optimizer_steps_match_out_of_place_updates():
     # the in-place state updates keep the operation order of the textbook
     # expressions, so 20 steps (with a grid projection of the state
     # between) agree bit for bit
     gen = np.random.default_rng(18)
     shapes = {"layer1": (2, 1, 6, 6, 3, 3), "head_w": (2, 4)}
     params = {n: gen.normal(size=s) for n, s in shapes.items()}
-    b1, b2, eps, wd, lr, mom = 0.9, 0.999, 1e-8, 0.01, 0.01, 0.9
-    opt = AdamW(params, lr, weight_decay=wd) if cls is AdamW else SgdMomentum(params, lr)
+    b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.01, 0.01
+    opt = AdamW(params, lr, weight_decay=wd)
     m = {n: np.zeros(s) for n, s in shapes.items()}
     v = {n: np.zeros(s) for n, s in shapes.items()}
     p, want = params, dict(params)
@@ -316,40 +300,29 @@ def test_optimizer_steps_match_out_of_place_updates(cls):
                  "head_w": gen.normal(size=(2, 4))}
         p = opt.step(p, grads)
         for n, g in grads.items():
-            if cls is AdamW:
-                m[n] = b1 * m[n] + (1 - b1) * g
-                v[n] = b2 * v[n] + (1 - b2) * g * g
-                mh, vh = m[n] / (1 - b1 ** t), v[n] / (1 - b2 ** t)
-                want[n] = want[n] - lr * (mh / (np.sqrt(vh) + eps) + wd * want[n])
-            else:
-                m[n] = mom * m[n] + g
-                want[n] = want[n] - lr * m[n]
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            mh, vh = m[n] / (1 - b1 ** t), v[n] / (1 - b2 ** t)
+            want[n] = want[n] - lr * (mh / (np.sqrt(vh) + eps) + wd * want[n])
         if t % 7 == 0:
             opt.share_state("layer1", 3)
             m["layer1"] = ss.share_kernel_grid_means(m["layer1"], 3)
-            if cls is AdamW:
-                v["layer1"] = ss.share_kernel_grid_means(v["layer1"], 3, scale_by_group=True)
+            v["layer1"] = ss.share_kernel_grid_means(v["layer1"], 3, scale_by_group=True)
         for n in shapes:
             assert np.array_equal(p[n], want[n]), (t, n)
 
 
-@pytest.mark.parametrize("cls", [AdamW, SgdMomentum])
-def test_optimizer_share_state_projects_to_grids(cls):
+def test_optimizer_share_state_projects_to_grids():
     gen = np.random.default_rng(14)
     shape = (2, 1, 6, 6, 3, 3)
-    p = {"layer1": gen.normal(size=shape)}
-    opt = cls(p, lr=0.1)
-    state = opt.m if cls is AdamW else opt.vel
-    state["layer1"] = gen.normal(size=shape)
-    expect_first = ss.share_kernel_grid_means(state["layer1"], 3)
-    if cls is AdamW:
-        opt.v["layer1"] = gen.normal(size=shape) ** 2
-        expect_v = ss.share_kernel_grid_means(opt.v["layer1"], 3, scale_by_group=True)
+    opt = AdamW({"layer1": gen.normal(size=shape)}, lr=0.1)
+    opt.m["layer1"] = gen.normal(size=shape)
+    opt.v["layer1"] = gen.normal(size=shape) ** 2
+    expect_m = ss.share_kernel_grid_means(opt.m["layer1"], 3)
+    expect_v = ss.share_kernel_grid_means(opt.v["layer1"], 3, scale_by_group=True)
     opt.share_state("layer1", 3)
-    state = opt.m if cls is AdamW else opt.vel
-    assert np.array_equal(state["layer1"], expect_first)
-    if cls is AdamW:
-        assert np.array_equal(opt.v["layer1"], expect_v)
+    assert np.array_equal(opt.m["layer1"], expect_m)
+    assert np.array_equal(opt.v["layer1"], expect_v)
 
 
 def test_train_config_validation():
@@ -600,11 +573,6 @@ def test_training_learns_above_chance():
     assert epochs_seen == set(range(12))
     splits = {m[1] for m in h.metrics}
     assert splits == {"train", "test"}
-
-
-def test_val_split_reported():
-    h = run_experiment("lc", 0, val_fraction=0.25, **SMALL)
-    assert {m[1] for m in h.metrics} == {"train", "val", "test"}
 
 
 def test_history_final_accuracy_requires_rows():
