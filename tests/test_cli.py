@@ -204,14 +204,23 @@ def test_deleted_settings_exit_2_before_work(tmp_path, argv):
     assert not out.exists()
 
 
+def test_replay_refuses_the_deleted_reset_rates_key(tmp_path):
+    out = tmp_path / "o"
+    assert run("sleep-rate", *SMALL_SLEEP, "--iters", "2", "--out", str(out)) == 0
+    old = tmp_path / "old_manifest.txt"
+    old.write_text((out / "manifest.txt").read_text() + "cfg.reset_rates=False\n")
+    redo = tmp_path / "r"
+    assert run("sleep-rate", "--replay", str(old), "--out", str(redo)) == cli.EXIT_USAGE
+    assert not redo.exists()
+
+
 @pytest.mark.parametrize("sub,line", [
-    ("sleep-rate", "cfg.reset_rates=False"),
     ("sleep-rate", "cfg.momentum=0.0"),
     ("sleep-rate", "cfg.sigma=0.0"),
     ("sleep-rate", "cfg.mode=discrete"),
     ("train", "cfg.optimizer=adamw"),
     ("train", "cfg.val_fraction=0.0"),
-], ids=["reset_rates", "momentum", "sigma", "mode-discrete", "optimizer", "val_fraction"])
+], ids=["momentum", "sigma", "mode-discrete", "optimizer", "val_fraction"])
 def test_replay_refuses_deleted_keys(tmp_path, sub, line):
     # a manifest written while the setting existed records it
     out = tmp_path / "o"
@@ -294,13 +303,7 @@ def test_replay_rejects_other_subcommand(tmp_path):
                "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [
-    ["sleep-ideal", "--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20"],
-    ["sleep-rate", "--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20"],
-    ["noise-floor", "--seeds", "2", "--iters", "5", "--slope-iters", "20"],
-    ["compare", "--arms", "conv,lc-ws:1", "--seeds", "2", *TINY_TRAIN],
-], ids=lambda argv: argv[0])
-def test_parallel_cells_byte_identical(tmp_path, argv):
+def _assert_jobs_byte_identical(tmp_path, argv):
     # every output but the manifest (which records jobs and the duration)
     a, b = tmp_path / "j1", tmp_path / "j4"
     assert run(*argv, "--jobs", "1", "--out", str(a)) == 0
@@ -309,6 +312,20 @@ def test_parallel_cells_byte_identical(tmp_path, argv):
     assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.txt")
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_parallel_cells_byte_identical(tmp_path):
+    _assert_jobs_byte_identical(tmp_path, ["sleep-ideal", "--k", "3,6", "--gamma", "1e-2",
+                                           "--seeds", "2", "--iters", "20"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sleep-rate", "--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20"],
+    ["noise-floor", "--seeds", "2", "--iters", "5", "--slope-iters", "20"],
+    ["compare", "--arms", "conv,lc-ws:1", "--seeds", "2", *TINY_TRAIN],
+], ids=lambda argv: argv[0])
+def test_pooled_cells_byte_identical(tmp_path, argv):
+    _assert_jobs_byte_identical(tmp_path, argv)
 
 
 def test_train_schema_and_determinism(tmp_path):
