@@ -8,7 +8,7 @@ and the biased (finite-alpha) variant against its own closed form.
 
 import numpy as np
 
-from sleepshare import (biased_fixed_point, fixed_point, full_batch_descent)
+from sleepshare import fixed_point, full_batch_descent
 
 rng = np.random.default_rng(2)
 n, d, m = 12, 8, 24
@@ -22,7 +22,7 @@ for gamma in (1e-1, 1e-3):
     print(f"gamma={gamma:g}: descent vs solve relative error {rel:.2e}")
 
 alpha = 10.0
-solve_b = biased_fixed_point(w_init, x, 1e-1, alpha)
+solve_b = fixed_point(w_init, x, 1e-1, alpha=alpha)
 descent_b = full_batch_descent(w_init, x, 1e-1, alpha=alpha)
 rel_b = np.linalg.norm(descent_b - solve_b) / np.linalg.norm(solve_b)
 print(f"biased (alpha={alpha:g}): relative error {rel_b:.2e}")

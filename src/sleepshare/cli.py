@@ -476,7 +476,7 @@ def cmd_fixed_point(cfg, out: RunDir) -> int:
         w_desc = sharing.full_batch_descent(w0, x, gamma)
         rel = float(np.linalg.norm(w_desc - w_solve) / np.linalg.norm(w_solve))
         worst_plain = max(worst_plain, rel)
-        wb_solve = sharing.biased_fixed_point(w0, x, gamma, cfg["alpha"])
+        wb_solve = sharing.fixed_point(w0, x, gamma, alpha=cfg["alpha"])
         wb_desc = sharing.full_batch_descent(w0, x, gamma, alpha=cfg["alpha"])
         relb = float(np.linalg.norm(wb_desc - wb_solve) / np.linalg.norm(wb_solve))
         worst_biased = max(worst_biased, relb)
@@ -708,9 +708,11 @@ def _add_flags(p: argparse.ArgumentParser, spec) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: its ~115 flags
-    cost milliseconds to add, and parsing leaves the parser unchanged."""
+def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser for a command line that names subcommand,
+    built once per process and subcommand (parsing leaves it unchanged).
+    Only that subcommand's parser gets its flags: adding all six
+    subcommands' flags costs milliseconds, and a run parses one."""
     p = argparse.ArgumentParser(
         prog="sleepshare",
         description="Weight-equalization experiments for locally connected layers.")
@@ -724,13 +726,18 @@ def build_parser() -> argparse.ArgumentParser:
         "compare": "the arm matrix with an ordering summary",
     }
     for name, spec in SPECS.items():
-        _add_flags(sub.add_parser(name, help=helps[name]), spec)
+        parser = sub.add_parser(name, help=helps[name])
+        if name == subcommand:
+            _add_flags(parser, spec)
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand, if any, is the first word: the top level has no flags but --help
+    subcommand = argv[0] if argv and argv[0] in SPECS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(subcommand).parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     sub = args.subcommand

@@ -62,7 +62,7 @@ Non-finite weights show in the snapshots' -log snr (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,7 +70,7 @@ import numpy as np
 from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import (SleepConfig, SleepResult, WeightBundle, _maybe_nonfinite,
-                      bias_coefficient, neg_log_snr)
+                      neg_log_snr)
 
 __all__ = [
     "RateCircuit",
@@ -212,7 +212,9 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
     w = bundle.weights
     w0 = bundle.init
     n, d = bundle.n, bundle.d
-    gamma = config.gamma
+    # a Python float, as Schedule's step sizes are: with a numpy scalar an
+    # overflowing decay power below would be a silent inf, not an OverflowError
+    gamma = float(config.gamma)
     ideal = math.isinf(circuit.alpha)
     if not ideal:
         circuit.reset(n)

@@ -39,14 +39,14 @@ floor of the stochastic iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
 from .mathcore import RngStream, solve_spd
-from .topology import LocalLayer, make_partition, generate_pattern, padded_windows
+from .topology import LocalLayer, generate_pattern, grid_slices, padded_windows
 
 __all__ = [
     "NEG_LOG_SNR_CONVERGED",
@@ -62,7 +62,6 @@ __all__ = [
     "neg_log_snr",
     "neg_log_snr_floor",
     "fixed_point",
-    "biased_fixed_point",
     "full_batch_descent",
     "descent_step_cap",
     "instant_share",
@@ -225,10 +224,6 @@ class WeightBundle:
     @property
     def d(self) -> int:
         return self.weights.shape[-1]
-
-    @property
-    def mean_init(self) -> np.ndarray:
-        return self.init.mean(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -421,33 +416,24 @@ def _empirical_cov(x: np.ndarray) -> np.ndarray:
     return x.T @ x / x.shape[0]
 
 
-def fixed_point(w_init: np.ndarray, inputs: np.ndarray, gamma: float) -> np.ndarray:
-    """Stationary weights of the averaged idealized dynamics over the
-    given input set: rows solve (C + gamma I) w* = C mu_init + gamma w_init."""
-    w_init = np.asarray(w_init, dtype=np.float64)
-    cov = _empirical_cov(inputs)
-    d = cov.shape[0]
-    mu = w_init.mean(axis=0)
-    rhs = (cov @ mu)[:, None] + gamma * w_init.T  # (D, N)
-    return solve_spd(cov + gamma * np.eye(d), rhs).T
+def fixed_point(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
+                alpha: float = math.inf) -> np.ndarray:
+    """Stationary weights of the averaged dynamics over the given input
+    set, under inhibition strength alpha (the idealized rule at inf).
 
-
-def biased_fixed_point(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
-                       alpha: float) -> np.ndarray:
-    """Stationary weights under finite inhibition strength.
-
-    The group mean no longer stays at mu_init; it contracts to
-    gamma ((1/(1+alpha)) C + gamma I)^-1 mu_init, and each row solves
-    (C + gamma I) w* = gamma w_init + c C wbar*.
+    The group mean contracts to wbar* = gamma ((1/(1+alpha)) C + gamma I)^-1
+    mu_init, which is mu_init itself at alpha = inf, and each row solves
+    (C + gamma I) w* = gamma w_init + c C wbar*, c = alpha/(1+alpha).
     """
-    if math.isinf(alpha):
-        return fixed_point(w_init, inputs, gamma)
     w_init = np.asarray(w_init, dtype=np.float64)
     cov = _empirical_cov(inputs)
     d = cov.shape[0]
     c = bias_coefficient(alpha)
     mu = w_init.mean(axis=0)
-    wbar = gamma * solve_spd(cov / (1.0 + alpha) + gamma * np.eye(d), mu)
+    if math.isinf(alpha):
+        wbar = mu
+    else:
+        wbar = gamma * solve_spd(cov / (1.0 + alpha) + gamma * np.eye(d), mu)
     rhs = gamma * w_init.T + (c * (cov @ wbar))[:, None]
     return solve_spd(cov + gamma * np.eye(d), rhs).T
 
@@ -493,12 +479,6 @@ def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
 # layer-level sharing
 
 
-def _grid_slices(k: int):
-    for gy in range(k):
-        for gx in range(k):
-            yield gy, gx
-
-
 def share_kernel_grid_means(kernels: np.ndarray, k: int,
                             scale_by_group: bool = False) -> np.ndarray:
     """Project per-position kernels (indexed (out, in, y, x, ky, kx))
@@ -508,15 +488,15 @@ def share_kernel_grid_means(kernels: np.ndarray, k: int,
     squared-gradient statistics (the variance of a mean of G independent
     gradients is ~1/G of one position's)."""
     out = np.array(kernels, dtype=np.float64, copy=True)
-    for gy, gx in _grid_slices(k):
-        sel = out[:, :, gy::k, gx::k]
+    for ys, xs in grid_slices(k):
+        sel = out[:, :, ys, xs]
         # centered form: exact (bitwise) when the grid already agrees,
         # which is what makes repeated sharing a true projection
         ref = sel[:, :, :1, :1]
         mean = ref + (sel - ref).mean(axis=(2, 3), keepdims=True)
         if scale_by_group:
             mean = mean / (sel.shape[2] * sel.shape[3])
-        out[:, :, gy::k, gx::k] = mean
+        out[:, :, ys, xs] = mean
     return out
 
 
@@ -532,8 +512,8 @@ def kernel_grid_neg_log_snr(kernels: np.ndarray, k: int) -> float:
     group (rows = positions, features = flattened kernel), averaged over
     the k^2 grids. Converged grids contribute the finite sentinel."""
     vals = []
-    for gy, gx in _grid_slices(k):
-        sel = kernels[:, :, gy::k, gx::k]
+    for ys, xs in grid_slices(k):
+        sel = kernels[:, :, ys, xs]
         o, ci, gh, gw, kh, kw = sel.shape
         rows = sel.transpose(2, 3, 0, 1, 4, 5).reshape(gh * gw, o * ci * kh * kw)
         vals.append(neg_log_snr(rows))
@@ -551,31 +531,33 @@ def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
     weights are written back once, at the end.
     Returns rows (iteration, grid_index, neg_log_snr) for all grids.
     """
-    if layer.height == 1:
-        raise ValueError("layer_sleep_run needs a 2-D layer (height > 1), got height 1")
-    k, o = layer.kernel, layer.out_channels
-    partition = make_partition(k, layer.height, layer.width)
+    k, o, c = layer.kernel, layer.out_channels, layer.in_channels
+    height, width = layer.height, layer.width
+    if height < k or width < k:
+        # a side shorter than k leaves some grid without a member
+        raise ValueError(f"layer_sleep_run needs a 2-D layer at least k = {k} positions "
+                         f"high and wide, got {height}x{width}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    grids = [partition.positions(g) for g in range(partition.count)]
+    grids = grid_slices(k)
     bundles = []
-    for pos in grids:
-        w = layer.weights[:, :, pos[:, 0], pos[:, 1]].transpose(0, 2, 1, 3, 4)
-        w = w.reshape(o, len(pos), -1)
+    for ys, xs in grids:
+        w = np.array(layer.weights[:, :, ys, xs].transpose(0, 2, 3, 1, 4, 5))
+        w = w.reshape(o, -1, c * k * k)
         bundles.append(WeightBundle(w, w.copy()))
     velocities: List[Optional[np.ndarray]] = [None] * len(grids)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iterations):
             planes = [
-                generate_pattern(partition, t % len(grids), rng=gen).values
+                generate_pattern(gen.normal(0.0, 1.0, (k, k)), t % len(grids), height, width)
                 * config.input_std + config.input_mean
-                for _ in range(layer.in_channels)
+                for _ in range(c)
             ]
             win = padded_windows(np.stack(planes), k, k // 2, "circular")  # (C, H, W, k, k)
             eta = config.schedule(t)
-            for g, (pos, bundle) in enumerate(zip(grids, bundles)):
+            for g, ((ys, xs), bundle) in enumerate(zip(grids, bundles)):
                 # the grid's shared receptive content, at its first member
-                x = win[:, pos[0, 0], pos[0, 1]].reshape(-1)
+                x = win[:, ys.start, xs.start].reshape(-1)
                 velocities[g] = sleep_step(bundle, np.broadcast_to(x, (o, bundle.d)),
                                            config.gamma, eta, alpha=config.alpha,
                                            momentum=config.momentum, velocity=velocities[g])
@@ -584,9 +566,10 @@ def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
             for g, b in enumerate(bundles):
                 # one group per grid: rows are positions, all out channels' kernels the features
                 rows.append((t, g, neg_log_snr(b.weights.transpose(1, 0, 2).reshape(b.n, -1))))
-    for pos, bundle in zip(grids, bundles):
-        back = bundle.weights.reshape(o, len(pos), layer.in_channels, k, k)
-        layer.weights[:, :, pos[:, 0], pos[:, 1]] = back.transpose(0, 2, 1, 3, 4)
+    for (ys, xs), bundle in zip(grids, bundles):
+        view = layer.weights[:, :, ys, xs]
+        back = bundle.weights.reshape(o, *view.shape[2:4], c, k, k)
+        view[...] = back.transpose(0, 3, 1, 2, 4, 5)
     return rows
 
 
@@ -648,7 +631,7 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
         x.append(gen.normal(input_mean, input_std, size=(m, d)))
     w_star = np.stack([fixed_point(w0, xs, gamma) for w0, xs in zip(w_init, x)])
     w_init, x = np.stack(w_init), np.stack(x)
-    x_t = x.transpose(0, 2, 1)
+    cov = x.transpose(0, 2, 1) @ x / m
     w = w_init.copy()
     dist_sq = np.empty((len(gens), iterations))
     for k in range(iterations):
@@ -658,10 +641,9 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
                            for i, gen in enumerate(gens)])
             z = np.einsum("snd,snmd->snm", w, xi)
             upd = np.einsum("snm,snmd->snd", z - z.mean(axis=1, keepdims=True), xi) / m
+            w -= eta * (upd + gamma * (w - w_init))
         else:
-            z = w @ x_t
-            upd = (z - z.mean(axis=1, keepdims=True)) @ x / m
-        w -= eta * (upd + gamma * (w - w_init))
+            w -= eta * _averaged_gradient(w, w_init, cov, 1.0, gamma)
         _check_finite(w, "noise-floor run", k)
         diff = w - w_star
         dist_sq[:, k] = np.add.reduce((diff * diff).reshape(len(gens), -1), axis=1)

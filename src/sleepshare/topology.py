@@ -32,8 +32,8 @@ a shape changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .mathcore import RngStream
 __all__ = [
     "LocalLayer",
     "ConvLayer",
-    "GridPartition",
-    "RepeatingPattern",
     "local_forward",
     "Workspace",
     "lc_forward",
@@ -52,7 +50,7 @@ __all__ = [
     "tile_kernel",
     "position_weights",
     "tie_lc_to_conv",
-    "make_partition",
+    "grid_slices",
     "generate_pattern",
     "padded_windows",
     "receptive_field",
@@ -304,74 +302,35 @@ def tie_lc_to_conv(layer: LocalLayer, kernel: np.ndarray) -> LocalLayer:
     )
 
 
-@dataclass(frozen=True)
-class GridPartition:
-    """Residue classes of spatial positions mod k: k*k grids, grid
-    (g1, g2) = {(y, x) : y = g1, x = g2 (mod k)}, flattened to index
-    g1 * k + g2.
-    """
-
-    k: int
-    height: int
-    width: int
-    grids: Tuple[Tuple, ...] = field(repr=False)
-
-    @property
-    def count(self) -> int:
-        return len(self.grids)
-
-    def positions(self, grid_index: int) -> np.ndarray:
-        """Grid members: (P, 2) array of (y, x) rows."""
-        return np.array(self.grids[grid_index])
-
-
-def make_partition(k: int, height: int, width: int) -> GridPartition:
+def grid_slices(k: int) -> List[Tuple[slice, slice]]:
+    """The residue classes of spatial positions mod k as k*k pairs of
+    (row, column) slices: grid g = gy * k + gx holds the positions
+    {(y, x) : y = gy, x = gx (mod k)}, so `a[..., ys, xs]` is grid g's
+    strided view of an array whose last two axes are (y, x). Edge grids of
+    a plane whose sides are not multiples of k hold fewer members, and a
+    side shorter than k leaves some grids empty."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    grids = tuple(
-        tuple((y, x) for y in range(height) for x in range(width)
-              if y % k == g1 and x % k == g2)
-        for g1 in range(k) for g2 in range(k)
-    )
-    return GridPartition(k=k, height=height, width=width, grids=grids)
+    return [(slice(gy, None, k), slice(gx, None, k)) for gy in range(k) for gx in range(k)]
 
 
-@dataclass(frozen=True)
-class RepeatingPattern:
-    """An input plane tiled with period k by one base block."""
-
-    base: np.ndarray
-    values: np.ndarray
-    active_grid: int
-    k: int
-
-
-def generate_pattern(partition: GridPartition, grid_index: int,
-                     base: Optional[np.ndarray] = None,
-                     rng: Optional[RngStream | np.random.Generator] = None) -> RepeatingPattern:
-    """Tile the plane with a k-periodic block anchored at the given grid.
+def generate_pattern(base: np.ndarray, grid_index: int, height: int, width: int) -> np.ndarray:
+    """The (height, width) plane tiled with period k by the (k, k) base
+    block, anchored at the given grid.
 
     The value at (y, x) depends only on (y mod k, x mod k); grid_index
     shifts the anchor so that base[0, 0] sits on that grid's positions.
-    If no base is supplied one is drawn N(0, 1) fresh from rng.
     """
-    k = partition.k
-    if not (0 <= grid_index < partition.count):
-        raise ValueError(f"grid_index {grid_index} out of range [0, {partition.count})")
-    shape = (k, k)
-    if base is None:
-        if rng is None:
-            raise ValueError("generate_pattern: need base or rng")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        base = gen.normal(0.0, 1.0, size=shape)
     base = np.asarray(base, dtype=np.float64)
-    if base.shape != shape:
-        raise ShapeError(f"base must be {shape}, got {base.shape}")
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise ShapeError(f"base must be a square (k, k) block, got {base.shape}")
+    k = base.shape[0]
+    if not (0 <= grid_index < k * k):
+        raise ValueError(f"grid_index {grid_index} out of range [0, {k * k})")
     g1, g2 = divmod(grid_index, k)
-    ys = np.arange(partition.height)[:, None]
-    xs = np.arange(partition.width)[None, :]
-    values = base[(ys - g1) % k, (xs - g2) % k]
-    return RepeatingPattern(base=base, values=values, active_grid=grid_index, k=k)
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)[None, :]
+    return base[(ys - g1) % k, (xs - g2) % k]
 
 
 def receptive_field(layer, x: np.ndarray, y: int, xpos: int) -> np.ndarray:

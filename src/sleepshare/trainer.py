@@ -46,8 +46,8 @@ import numpy as np
 from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import kernel_grid_neg_log_snr, share_kernel_grid_means
-from .topology import (Workspace, kaiming_std, local_forward, position_weights,
-                       tile_kernel)
+from .topology import (Workspace, grid_slices, kaiming_std, local_forward,
+                       position_weights, tile_kernel)
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
@@ -252,10 +252,9 @@ class LayerStack:
     @staticmethod
     def _grid_tied(gen, std, out_c, in_c, side, k) -> np.ndarray:
         out = np.empty((out_c, in_c, side, side, k, k))
-        for gy in range(k):
-            for gx in range(k):
-                block = gen.normal(0, std, size=(out_c, in_c, k, k))
-                out[:, :, gy::k, gx::k] = block[:, :, None, None, :, :]
+        for ys, xs in grid_slices(k):
+            block = gen.normal(0, std, size=(out_c, in_c, k, k))
+            out[:, :, ys, xs] = block[:, :, None, None, :, :]
         return out
 
     @property

@@ -377,6 +377,21 @@ def test_missing_subcommand_is_usage_error():
     assert run() == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("subcommand", sorted(cli.SPECS))
+def test_subcommand_help_lists_its_flags(subcommand, capsys):
+    # the parser adds flags only to the subcommand named on the command line
+    assert run(subcommand, "--help") == cli.EXIT_OK
+    text = capsys.readouterr().out
+    flags = [f"--{key.replace('_', '-')} " for key in cli.SPECS[subcommand]]
+    assert [f for f in flags + ["--out ", "--config ", "--replay "] if f not in text] == []
+
+
+def test_top_level_help_exits_0(capsys):
+    assert run("--help") == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert all(name in text for name in cli.SPECS)
+
+
 @pytest.mark.parametrize("argv", [
     ["sleep-ideal", *SMALL_SLEEP, "--eta-a", "nan"],
     ["sleep-rate", *SMALL_SLEEP, "--warmup", "0", "--eta-a", "nan"],

@@ -159,7 +159,7 @@ def test_biased_fixed_point_identity_covariance():
     l = np.linalg.cholesky(x.T @ x / 40)
     xw = x @ np.linalg.inv(l).T
     gamma, alpha = 0.1, 10.0
-    got = ss.biased_fixed_point(w0, xw, gamma, alpha)
+    got = ss.fixed_point(w0, xw, gamma, alpha=alpha)
     mu = w0.mean(axis=0)
     expect = (gamma / (1 + gamma)) * (w0 + (alpha / (1 + gamma * (1 + alpha))) * mu[None, :])
     assert np.abs(got - expect).max() < 1e-10
@@ -173,7 +173,7 @@ def test_descent_matches_solve():
         solve = ss.fixed_point(w0, x, gamma)
         desc = ss.full_batch_descent(w0, x, gamma)
         assert np.linalg.norm(desc - solve) / np.linalg.norm(solve) < 1e-6
-    biased_solve = ss.biased_fixed_point(w0, x, 1e-1, 10.0)
+    biased_solve = ss.fixed_point(w0, x, 1e-1, alpha=10.0)
     biased_desc = ss.full_batch_descent(w0, x, 1e-1, alpha=10.0)
     assert np.linalg.norm(biased_desc - biased_solve) / np.linalg.norm(biased_solve) < 1e-4
 
@@ -189,9 +189,7 @@ def test_fixed_points_are_stationary_under_descent(seed, n, d, m, gamma, alpha):
     w0 = rng.normal(1, 1, (n, d))
     x = rng.normal(1, 1, (m, d))
     cov = x.T @ x / m
-    w_star = ss.biased_fixed_point(w0, x, gamma, alpha)
-    if math.isinf(alpha):
-        assert np.array_equal(w_star, ss.fixed_point(w0, x, gamma))
+    w_star = ss.fixed_point(w0, x, gamma, alpha=alpha)
     grad = sharing._averaged_gradient(w_star, w0, cov, ss.bias_coefficient(alpha), gamma)
     scale = np.linalg.norm(cov, 2) * np.linalg.norm(w_star) + gamma * np.linalg.norm(w0)
     assert np.linalg.norm(grad) <= 1e-12 * scale
@@ -243,12 +241,11 @@ def test_instant_share_projection():
     layer = ss.LocalLayer.kaiming(np.random.default_rng(10), 2, 3, 9, 9, 3)
     before = layer.weights.copy()
     ss.instant_share(layer)
-    part = ss.make_partition(3, 9, 9)
-    for g in range(part.count):
-        pos = part.positions(g)
-        manual = before[:, :, pos[:, 0], pos[:, 1]].mean(axis=2)
-        got = layer.weights[:, :, pos[0, 0], pos[0, 1]]
-        assert np.abs(manual - got).max() < 1e-13
+    for gy in range(3):
+        for gx in range(3):
+            manual = before[:, :, gy::3, gx::3].mean(axis=(2, 3))
+            got = layer.weights[:, :, gy, gx]
+            assert np.abs(manual - got).max() < 1e-13
     w_once = layer.weights.copy()
     ss.instant_share(layer)
     assert np.array_equal(w_once, layer.weights)
@@ -295,6 +292,18 @@ def test_layer_sleep_run_divergence_error():
 
 def test_layer_sleep_run_rejects_height_one_layer():
     layer = ss.LocalLayer.kaiming(np.random.default_rng(14), 1, 2, 1, 9, 3)
+    before = layer.weights.copy()
+    cfg = ss.SleepConfig(gamma=1e-4, schedule=ss.Schedule("constant", 0.1),
+                         iterations=5)
+    with pytest.raises(ValueError, match="2-D"):
+        ss.layer_sleep_run(layer, cfg, RngStream(0, (15,)))
+    assert np.array_equal(layer.weights, before)
+
+
+@pytest.mark.parametrize("height,width,k", [(2, 9, 3), (4, 4, 5)])
+def test_layer_sleep_run_rejects_layer_smaller_than_kernel(height, width, k):
+    # some of the k*k grids would have no member to read an input at
+    layer = ss.LocalLayer.kaiming(np.random.default_rng(14), 1, 2, height, width, k)
     before = layer.weights.copy()
     cfg = ss.SleepConfig(gamma=1e-4, schedule=ss.Schedule("constant", 0.1),
                          iterations=5)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sleepshare.errors import ShapeError
 from sleepshare.sharing import instant_share
 from sleepshare.topology import (ConvLayer, LocalLayer, conv_forward,
-                                 generate_pattern, kaiming_std, lc_forward,
-                                 make_partition, padded_windows,
-                                 receptive_field, tie_lc_to_conv)
+                                 generate_pattern, grid_slices, kaiming_std,
+                                 lc_forward, padded_windows, receptive_field,
+                                 tie_lc_to_conv)
 
 
 def test_lc_zero_input_zero_output():
@@ -107,57 +107,57 @@ def test_tie_shape_error():
         tie_lc_to_conv(lc, np.zeros((2, 1, 5, 5)))
 
 
-def test_partition_k1_single_grid():
-    p = make_partition(1, 3, 4)
-    assert p.count == 1
-    assert len(p.positions(0)) == 12
-
-
-def test_partition_k2_4x4():
-    p = make_partition(2, 4, 4)
-    assert p.count == 4
-    seen = set()
-    for g in range(4):
-        pos = p.positions(g)
-        assert len(pos) == 4
-        seen.update((int(y), int(x)) for y, x in pos)
-    assert seen == {(y, x) for y in range(4) for x in range(4)}
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 6), h=st.integers(1, 17), w=st.integers(1, 17))
+@example(k=1, h=3, w=4)
+@example(k=2, h=4, w=4)
+def test_grid_slices_cover_every_position_once(k, h, w):
+    # ragged planes (H, W not multiples of k) included; every grid has a
+    # member while k <= min(H, W)
+    assume(k <= min(h, w))
+    ys_all, xs_all = np.mgrid[:h, :w]
+    grids = grid_slices(k)
+    assert len(grids) == k * k
+    seen = []
+    for g, (ys, xs) in enumerate(grids):
+        y, x = ys_all[ys, xs].ravel(), xs_all[ys, xs].ravel()
+        assert y.size > 0
+        assert np.all(y % k == g // k) and np.all(x % k == g % k)
+        seen += list(zip(y.tolist(), x.tolist()))
+    assert sorted(seen) == [(y, x) for y in range(h) for x in range(w)]
 
 
 def test_pattern_constant_base():
-    p = make_partition(3, 9, 9)
-    pat = generate_pattern(p, 0, base=np.full((3, 3), 2.5))
-    assert np.array_equal(pat.values, np.full((9, 9), 2.5))
+    plane = generate_pattern(np.full((3, 3), 2.5), 0, 9, 9)
+    assert np.array_equal(plane, np.full((9, 9), 2.5))
 
 
 def test_pattern_out_of_range():
-    p = make_partition(3, 9, 9)
     with pytest.raises(ValueError):
-        generate_pattern(p, 9, base=np.zeros((3, 3)))
+        generate_pattern(np.zeros((3, 3)), 9, 9, 9)
 
 
 def test_pattern_same_receptive_field_within_grid():
     # geometry must let the tiling close: spatial extent a multiple of k,
     # windows taken with circular padding
-    p = make_partition(3, 9, 9)
     rng = np.random.default_rng(10)
+    grids = grid_slices(3)
     for trial in range(200):
-        g = trial % p.count
-        pat = generate_pattern(p, g, rng=rng)
-        x = np.broadcast_to(pat.values, (2, 9, 9))
+        g = trial % len(grids)
+        plane = generate_pattern(rng.normal(0.0, 1.0, (3, 3)), g, 9, 9)
+        x = np.broadcast_to(plane, (2, 9, 9))
         win = padded_windows(x, 3, 1, "circular")
-        pos = p.positions(g)
-        patches = win[:, pos[:, 0], pos[:, 1]]
+        ys, xs = grids[g]
+        patches = win[:, ys, xs].reshape(2, -1, 3, 3)
         assert np.array_equal(patches, np.broadcast_to(patches[:, :1], patches.shape))
 
 
 def test_pattern_set_spans_full_rank():
-    p = make_partition(3, 9, 9)
     rng = np.random.default_rng(11)
     rows = []
-    for trial in range(3 * p.count):
-        pat = generate_pattern(p, trial % p.count, rng=rng)
-        win = padded_windows(pat.values[None], 3, 1, "circular")
+    for trial in range(3 * 9):
+        plane = generate_pattern(rng.normal(0.0, 1.0, (3, 3)), trial % 9, 9, 9)
+        win = padded_windows(plane[None], 3, 1, "circular")
         rows.append(win[0, 0, 0].ravel())
     assert np.linalg.matrix_rank(np.array(rows)) == 9
 
