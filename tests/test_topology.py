@@ -107,10 +107,27 @@ def test_tie_shape_error():
         tie_lc_to_conv(lc, np.zeros((2, 1, 5, 5)))
 
 
+def test_partition_k1_single_grid():
+    grids = grid_slices(1)
+    assert len(grids) == 1
+    ys, xs = grids[0]
+    assert np.zeros((3, 4))[ys, xs].size == 12
+
+
+def test_partition_k2_4x4():
+    grids = grid_slices(2)
+    assert len(grids) == 4
+    ys_all, xs_all = np.mgrid[:4, :4]
+    seen = set()
+    for ys, xs in grids:
+        pos = list(zip(ys_all[ys, xs].ravel().tolist(), xs_all[ys, xs].ravel().tolist()))
+        assert len(pos) == 4
+        seen.update(pos)
+    assert seen == {(y, x) for y in range(4) for x in range(4)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 6), h=st.integers(1, 17), w=st.integers(1, 17))
-@example(k=1, h=3, w=4)
-@example(k=2, h=4, w=4)
 def test_grid_slices_cover_every_position_once(k, h, w):
     # ragged planes (H, W not multiples of k) included; every grid has a
     # member while k <= min(H, W)
