@@ -27,5 +27,5 @@ for arm in ("conv", "lc", "lc-reps:4", "lc-ws:1"):
     print(f"{arm:10s} final test accuracy {h.final_test_accuracy:.3f}")
 
 print()
-print("Full comparison (about half an hour):")
+print("Full comparison (about 290 s on 2 cores at --jobs 1):")
 print("  sleepshare compare --out runs/compare")

@@ -456,8 +456,8 @@ def cmd_sleep_rate(cfg, out: RunDir) -> int:
 
 def cmd_fixed_point(cfg, out: RunDir) -> int:
     gammas = cfg["gamma"]
-    worst_plain = 0.0
-    worst_biased = 0.0
+    alphas = (math.inf, cfg["alpha"])
+    worst = [0.0, 0.0]  # plain, biased
     report: List[str] = []
     for i in range(cfg["instances"]):
         gen = RngStream(cfg["seed"], (13, i)).generator()
@@ -472,14 +472,12 @@ def cmd_fixed_point(cfg, out: RunDir) -> int:
             sharing.fixed_point(w0, x_sing, gamma)  # raises SingularMatrixError
             continue
         x = gen.normal(1.0, 1.0, size=(m, d))
-        w_solve = sharing.fixed_point(w0, x, gamma)
-        w_desc = sharing.full_batch_descent(w0, x, gamma)
-        rel = float(np.linalg.norm(w_desc - w_solve) / np.linalg.norm(w_solve))
-        worst_plain = max(worst_plain, rel)
-        wb_solve = sharing.fixed_point(w0, x, gamma, alpha=cfg["alpha"])
-        wb_desc = sharing.full_batch_descent(w0, x, gamma, alpha=cfg["alpha"])
-        relb = float(np.linalg.norm(wb_desc - wb_solve) / np.linalg.norm(wb_solve))
-        worst_biased = max(worst_biased, relb)
+        for j, alpha in enumerate(alphas):
+            w_solve = sharing.fixed_point(w0, x, gamma, alpha=alpha)
+            w_desc = sharing.full_batch_descent(w0, x, gamma, alpha=alpha)
+            rel = float(np.linalg.norm(w_desc - w_solve) / np.linalg.norm(w_solve))
+            worst[j] = max(worst[j], rel)
+    worst_plain, worst_biased = worst
     report.append(f"instances={cfg['instances']}")
     report.append(f"max_rel_error_descent_vs_solve={worst_plain:.3e}")
     report.append(f"max_rel_error_biased_alpha{cfg['alpha']:g}={worst_biased:.3e}")

@@ -26,7 +26,7 @@ __all__ = ["RngStream", "solve_spd"]
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named, splittable random stream.
+    """A named random stream.
 
     `seed` is the experiment master seed; `path` identifies the consumer
     (sweep cell, noise source, ...). Identical (seed, path) pairs produce
@@ -36,10 +36,6 @@ class RngStream:
 
     seed: int
     path: Tuple[int, ...] = field(default=())
-
-    def spawn(self, *key: int) -> "RngStream":
-        # children extend the path; they never share draws with the parent
-        return RngStream(self.seed, self.path + tuple(int(k) for k in key))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)

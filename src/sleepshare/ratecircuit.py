@@ -14,7 +14,7 @@ Plasticity modes:
     "continuous" (default): the weight update is applied at every Euler
     step with gain rate_const per ms, so one presentation does
     present_ms * rate_const small updates worth of work. This is what
-    makes the published iteration counts reachable; see ledger notes.
+    makes the published iteration counts reachable.
     "terminal": a single update per presentation from the settled rates;
     equals the discrete finite-alpha rule once the ODE has settled.
 
@@ -62,13 +62,12 @@ Non-finite weights show in the snapshots' -log snr (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DivergenceError
-from .mathcore import RngStream
 from .sharing import (SleepConfig, SleepResult, WeightBundle, _maybe_nonfinite,
                       neg_log_snr)
 
@@ -84,13 +83,13 @@ __all__ = [
 @dataclass
 class RateCircuit:
     tau: float            # membrane time constant, ms
-    alpha: float          # inhibition strength; ODE path needs it finite
+    alpha: float          # inhibition strength; inf runs the settled limit
     b: float              # shared bias rate
     dt: float             # Euler step, ms
     present_ms: float     # presentation duration per input
-    r: Optional[np.ndarray] = None
-    r_inh: float = 0.0
-    t_ms: float = 0.0     # elapsed simulated time, for error context
+    r: Optional[np.ndarray] = field(default=None, init=False)
+    r_inh: float = field(default=0.0, init=False)
+    t_ms: float = field(default=0.0, init=False)  # elapsed simulated time, for error context
 
     def __post_init__(self):
         for name in ("tau", "b", "dt", "present_ms"):
@@ -180,7 +179,7 @@ _BLOCK = 32
 
 
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
-                   rng: RngStream, plasticity: str = "continuous",
+                   rng: np.random.Generator, plasticity: str = "continuous",
                    rate_const: float = 2.0) -> RateSleepResult:
     """Present config.iterations inputs through the circuit and adapt the
     bundle with the anti-Hebbian rule.
@@ -199,22 +198,18 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     one before a decay overflow, which may lie past the presentation
     named (by up to `_BLOCK - 1`).
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     if plasticity not in ("continuous", "terminal"):
         raise ValueError(f"unknown plasticity {plasticity!r}")
     # a diverging cell overflows before its check names the presentation,
     # and the block's later presentations may overflow in the stacked set-up
     with np.errstate(over="ignore", invalid="ignore"):
-        return _ode_run(bundle, circuit, config, gen, plasticity, rate_const)
+        return _ode_run(bundle, circuit, config, rng, plasticity, rate_const)
 
 
 def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
     w = bundle.weights
     w0 = bundle.init
     n, d = bundle.n, bundle.d
-    # a Python float, as Schedule's step sizes are: with a numpy scalar an
-    # overflowing decay power below would be a silent inf, not an OverflowError
-    gamma = float(config.gamma)
     ideal = math.isinf(circuit.alpha)
     if not ideal:
         circuit.reset(n)
@@ -251,7 +246,9 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
         decs = []
         for h in hs:
             try:
-                decs.append((1.0 - h * gamma) ** steps)
+                # a Python float's power raises OverflowError; a numpy
+                # scalar's (from gamma, rate_const or dt) would be a silent inf
+                decs.append(float(1.0 - h * config.gamma) ** steps)
             except OverflowError:
                 break
         run = len(decs)  # the block stops before a decay overflow
@@ -259,7 +256,8 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
             s = np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None]))[:, 0, 0]
             x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
             z0 = np.matmul(w0[None], xs[:, :, None])[..., 0]
-            step = _euler_step_matrix(c, s, np.array(hs), gamma, alpha, circuit.b)
+            step = _euler_step_matrix(c, s, np.array(hs), config.gamma, alpha,
+                                      circuit.b)
             dev_powers = np.linalg.matrix_power(step[_DEVIATION], steps)
             if not ideal:
                 mean_powers = np.linalg.matrix_power(step, steps)
@@ -305,7 +303,7 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
                 else:
                     np.subtract(r, circuit.b, out=coef)
                 np.subtract(w, w0, out=dw)
-                dw *= gamma
+                dw *= config.gamma
                 np.multiply(coef[:, None], xs[j], out=rank1)
                 rank1 += dw
                 rank1 *= eta

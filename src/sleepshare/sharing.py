@@ -93,6 +93,11 @@ def _as_stack(w) -> Tuple[np.ndarray, bool]:
     return (w, True) if w.ndim == 3 else (w[None], False)
 
 
+# A column whose rows all hold one value v has a computed mean within
+# n * eps * |v| of v, so its variance is at most (n * eps * mean)^2.
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _snr_stack(w: np.ndarray) -> np.ndarray:
     """snr of each (N, D) cell of an (S, N, D) stack.
 
@@ -104,6 +109,12 @@ def _snr_stack(w: np.ndarray) -> np.ndarray:
     (N, D) cell for D >= 2, so each cell's value is bitwise the one it
     has on its own. For D = 1 they sum a contiguous neuron axis pairwise,
     so that case reduces a cell-major copy instead.
+
+    A column counts as zero-variance when its rows are exactly equal,
+    whatever rounding error its computed variance holds: only the
+    columns whose variance is within that error are compared, on w
+    itself, which is never overwritten. A variance that underflows to
+    zero counts too.
     """
     n, d = w.shape[1], w.shape[2]
     if d == 1:
@@ -123,10 +134,12 @@ def _snr_stack(w: np.ndarray) -> np.ndarray:
     variances = np.add.reduce(sq, axis=axis)  # population variance
     variances /= n
     means = means.squeeze(axis)
-    zero = variances == 0.0
-    if zero.any():
-        return _snr_flat_columns(means, variances, zero)
     ratio = means * means
+    zero = variances <= ratio * (n * _EPS) ** 2
+    if zero.any():
+        zero &= (variances == 0.0) | (w == w[:, :1]).all(axis=1)
+        if zero.any():
+            return _snr_flat_columns(means, variances, zero)
     ratio /= variances
     return np.add.reduce(ratio, axis=1) / d
 
@@ -212,9 +225,9 @@ class WeightBundle:
                 f"got {self.weights.shape} and {self.init.shape}")
 
     @classmethod
-    def from_rng(cls, rng, n: int, d: int, mean: float = 1.0, std: float = 1.0) -> "WeightBundle":
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        w = gen.normal(mean, std, size=(n, d))
+    def from_rng(cls, rng: np.random.Generator, n: int, d: int, mean: float = 1.0,
+                 std: float = 1.0) -> "WeightBundle":
+        w = rng.normal(mean, std, size=(n, d))
         return cls(w, w.copy())
 
     @property
@@ -341,7 +354,7 @@ _DRAW_BLOCK = 32
 
 
 def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
-              rngs: Sequence) -> List[SleepResult]:
+              rngs: Sequence[np.random.Generator]) -> List[SleepResult]:
     """Run the stochastic equalization of S same-shape cells as one
     (S, N, D) stack, for config.iterations steps.
 
@@ -363,7 +376,6 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
     config = configs[0]
     if any(replace(c, gamma=config.gamma) != config for c in configs):
         raise ValueError("stacked sleep cells may differ only in gamma")
-    gens = [r.generator() if isinstance(r, RngStream) else r for r in rngs]
     stack = WeightBundle(np.stack([b.weights for b in bundles]),
                          np.stack([b.init for b in bundles]))
     s, n, d = stack.weights.shape
@@ -381,7 +393,7 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iterations):
             if noisy:
-                for i, gen in enumerate(gens):
+                for i, gen in enumerate(rngs):
                     xi = gen.normal(mean, std, size=d)
                     gen.standard_normal(out=x[i])
                     x[i] *= config.sigma
@@ -390,7 +402,7 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
                 j = k % _DRAW_BLOCK
                 if j == 0:
                     m = min(_DRAW_BLOCK, config.iterations - k)
-                    for i, gen in enumerate(gens):
+                    for i, gen in enumerate(rngs):
                         xs[i, :m] = gen.normal(mean, std, size=(m, d))
                 x = xs[:, j]
             velocity = sleep_step(stack, x, gamma, config.schedule(k),
@@ -453,24 +465,30 @@ def _averaged_gradient(w: np.ndarray, w0: np.ndarray, cov: np.ndarray, c: float,
     return (w - c * w.mean(axis=-2, keepdims=True)) @ cov + gamma * (w - w0)
 
 
+# full_batch_descent stops once a step moves no weight by more than
+# _DESCENT_TOL of the largest initial one (at least 1), or after
+# _DESCENT_MAX_ITERS steps.
+_DESCENT_TOL = 1e-13
+_DESCENT_MAX_ITERS = 200_000
+
+
 def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
-                       alpha: float = math.inf, eta: Optional[float] = None,
-                       tol: float = 1e-13, max_iters: int = 200_000) -> np.ndarray:
+                       alpha: float = math.inf) -> np.ndarray:
     """Deterministic descent of the averaged objective over a fixed input
-    set; converges to the corresponding closed-form fixed point. w_init is
-    one (N, D) group or an (S, N, D) stack of groups, all driven by the
-    same inputs (the stop test then covers the whole stack)."""
+    set, at the step size `descent_step_cap`; converges to the
+    corresponding closed-form fixed point. w_init is one (N, D) group or
+    an (S, N, D) stack of groups, all driven by the same inputs (the stop
+    test then covers the whole stack)."""
     w = np.asarray(w_init, dtype=np.float64).copy()
     w0 = w.copy()
     cov = _empirical_cov(inputs)
     c = bias_coefficient(alpha)
-    if eta is None:
-        eta = descent_step_cap(inputs, gamma)
+    eta = descent_step_cap(inputs, gamma)
     scale = max(1.0, float(np.abs(w).max()))
-    for _ in range(max_iters):
+    for _ in range(_DESCENT_MAX_ITERS):
         grad = _averaged_gradient(w, w0, cov, c, gamma)
         w -= eta * grad
-        if np.abs(grad).max() * eta < tol * scale:
+        if np.abs(grad).max() * eta < _DESCENT_TOL * scale:
             break
     return w
 
@@ -537,7 +555,7 @@ def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
         # a side shorter than k leaves some grid without a member
         raise ValueError(f"layer_sleep_run needs a 2-D layer at least k = {k} positions "
                          f"high and wide, got {height}x{width}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     grids = grid_slices(k)
     bundles = []
     for ys, xs in grids:
@@ -577,24 +595,17 @@ def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
 # patch-stack sharing
 
 
-def patch_share(stack: np.ndarray, gamma: float, rng: Optional[RngStream] = None,
-                inputs: Optional[np.ndarray] = None, eta: Optional[float] = None,
-                tol: float = 1e-13, max_iters: int = 200_000) -> np.ndarray:
+def patch_share(stack: np.ndarray, gamma: float, rng: np.random.Generator) -> np.ndarray:
     """Equalize matching columns of a stack of patch matrices (P, D, K):
     column j across the P patches forms one group, all groups driven by
-    the same identity-covariance input set. With gamma -> 0 the result is
-    the element-wise mean of the patches."""
+    the same identity-covariance input set, drawn from rng. With
+    gamma -> 0 the result is the element-wise mean of the patches."""
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise ShapeError(f"patch stack must be (P, D, K), got {stack.shape}")
     d = stack.shape[1]
-    if inputs is None:
-        if rng is None:
-            raise ValueError("patch_share: need inputs or rng")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        inputs = gen.standard_normal((max(4 * d, 32), d))
-    w = full_batch_descent(stack.transpose(2, 0, 1), inputs, gamma, eta=eta,
-                           tol=tol, max_iters=max_iters)
+    inputs = rng.standard_normal((max(4 * d, 32), d))
+    w = full_batch_descent(stack.transpose(2, 0, 1), inputs, gamma)
     return w.transpose(1, 2, 0)
 
 
@@ -652,11 +663,12 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
             for dsq, ws in zip(dist_sq, w_star)]
 
 
-def loglog_slope(dist_sq: np.ndarray, lo_frac: float = 0.1, hi_frac: float = 0.5) -> float:
-    """Log-log slope of a decay trajectory over its mid-range."""
+def loglog_slope(dist_sq: np.ndarray) -> float:
+    """Log-log slope of a decay trajectory over its mid-range, from a
+    tenth to a half of it."""
     kmax = len(dist_sq)
-    lo = max(1, int(lo_frac * kmax))
-    hi = max(lo + 2, int(hi_frac * kmax))
+    lo = max(1, int(0.1 * kmax))
+    hi = max(lo + 2, int(0.5 * kmax))
     # entry i holds the value after update i + 1
     ks = np.arange(lo, hi) + 1.0
     return float(np.polyfit(np.log(ks), np.log(dist_sq[lo:hi]), 1)[0])

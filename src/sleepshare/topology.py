@@ -38,7 +38,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ShapeError
-from .mathcore import RngStream
 
 __all__ = [
     "LocalLayer",
@@ -84,9 +83,10 @@ def padded_windows(x: np.ndarray, kernel: int, pad: int, mode: PaddingMode = "ze
 
 
 @dataclass
-class LocalLayer:
-    """Restricted receptive fields with an independent kernel at every
-    spatial position."""
+class _Layer:
+    """The fields, checks and Kaiming draw a LocalLayer and a ConvLayer
+    share; each names only its weight shape. The output has the input's
+    (height, width), so pad is kernel // 2."""
 
     in_channels: int
     out_channels: int
@@ -94,60 +94,48 @@ class LocalLayer:
     width: int
     kernel: int
     weights: np.ndarray
-    pad: Optional[int] = None
     padding_mode: PaddingMode = "zeros"
 
     def __post_init__(self):
         _check_kernel(self.kernel)
-        if self.pad is None:
-            self.pad = self.kernel // 2
-        k = self.kernel
-        expect = (self.out_channels, self.in_channels, self.height, self.width, k, k)
+        name = type(self).__name__
+        expect = self._weight_shape(self.out_channels, self.in_channels, self.height,
+                                    self.width, self.kernel)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != expect:
-            raise ShapeError(f"LocalLayer weights must be {expect}, got {self.weights.shape}")
+            raise ShapeError(f"{name} weights must be {expect}, got {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
-            raise ValueError("LocalLayer weights must be finite")
+            raise ValueError(f"{name} weights must be finite")
+
+    @property
+    def pad(self) -> int:
+        return self.kernel // 2
 
     @classmethod
-    def kaiming(cls, rng, in_channels, out_channels, height, width, kernel, **kw) -> "LocalLayer":
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        std = kaiming_std(out_channels, kernel)
-        w = gen.normal(0.0, std, size=(out_channels, in_channels, height, width, kernel, kernel))
+    def kaiming(cls, rng: np.random.Generator, in_channels, out_channels, height, width,
+                kernel, **kw):
+        shape = cls._weight_shape(out_channels, in_channels, height, width, kernel)
+        w = rng.normal(0.0, kaiming_std(out_channels, kernel), size=shape)
         return cls(in_channels, out_channels, height, width, kernel, w, **kw)
 
 
 @dataclass
-class ConvLayer:
+class LocalLayer(_Layer):
+    """Restricted receptive fields with an independent kernel at every
+    spatial position."""
+
+    @staticmethod
+    def _weight_shape(o, c, h, w, k):
+        return (o, c, h, w, k, k)
+
+
+@dataclass
+class ConvLayer(_Layer):
     """Same geometry as LocalLayer but one shared kernel per channel pair."""
 
-    in_channels: int
-    out_channels: int
-    height: int
-    width: int
-    kernel: int
-    weights: np.ndarray
-    pad: Optional[int] = None
-    padding_mode: PaddingMode = "zeros"
-
-    def __post_init__(self):
-        _check_kernel(self.kernel)
-        if self.pad is None:
-            self.pad = self.kernel // 2
-        k = self.kernel
-        expect = (self.out_channels, self.in_channels, k, k)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != expect:
-            raise ShapeError(f"ConvLayer weights must be {expect}, got {self.weights.shape}")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("ConvLayer weights must be finite")
-
-    @classmethod
-    def kaiming(cls, rng, in_channels, out_channels, height, width, kernel, **kw) -> "ConvLayer":
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        std = kaiming_std(out_channels, kernel)
-        w = gen.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel))
-        return cls(in_channels, out_channels, height, width, kernel, w, **kw)
+    @staticmethod
+    def _weight_shape(o, c, h, w, k):
+        return (o, c, k, k)
 
 
 def _check_input(layer, x) -> np.ndarray:
@@ -297,8 +285,7 @@ def tie_lc_to_conv(layer: LocalLayer, kernel: np.ndarray) -> LocalLayer:
         raise ShapeError(f"tie_lc_to_conv: kernel must be {expect}, got {kernel.shape}")
     return LocalLayer(
         layer.in_channels, layer.out_channels, layer.height, layer.width, k,
-        tile_kernel(kernel, layer.height, layer.width),
-        pad=layer.pad, padding_mode=layer.padding_mode,
+        tile_kernel(kernel, layer.height, layer.width), padding_mode=layer.padding_mode,
     )
 
 

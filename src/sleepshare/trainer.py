@@ -389,11 +389,13 @@ class AdamW:
     """Moment estimates with bias correction; weight decay applied to the
     parameters directly, not through the gradient."""
 
-    def __init__(self, params: Dict[str, np.ndarray], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0

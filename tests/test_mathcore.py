@@ -23,15 +23,6 @@ def test_stream_paths_differ():
     assert not np.array_equal(a, c)
 
 
-def test_spawn_extends_path():
-    s = RngStream(3, (4,))
-    child = s.spawn(5, 6)
-    assert child.path == (4, 5, 6)
-    assert child.seed == 3
-    direct = RngStream(3, (4, 5, 6)).generator().normal(size=4)
-    assert np.array_equal(child.generator().normal(size=4), direct)
-
-
 def test_solve_spd_matches_dense_solve():
     rng = np.random.default_rng(1)
     b = rng.normal(size=(6, 6))

@@ -122,13 +122,16 @@ def test_mode_and_plasticity_validation():
         ss.rate_sleep_run(bundle, make_circuit(), cfg, gen, plasticity="batch")
 
 
-@pytest.mark.parametrize("eta,gamma", [(100.0, 1.0), (np.float64(100.0), 1.0),
-                                       (100.0, np.float64(1.0))],
-                         ids=["float", "numpy-float", "numpy-float-gamma"])
-def test_decay_overflow_reported_for_any_float_schedule(eta, gamma):
+@pytest.mark.parametrize("eta,gamma,rate_const,dt", [
+    (100.0, 1.0, 2.0, 1.0), (np.float64(100.0), 1.0, 2.0, 1.0),
+    (100.0, np.float64(1.0), 2.0, 1.0), (100.0, 1.0, np.float64(2.0), 1.0),
+    (100.0, 1.0, 2.0, np.float64(1.0))],
+    ids=["float", "numpy-float", "numpy-float-gamma", "numpy-float-rate-const",
+         "numpy-float-dt"])
+def test_decay_overflow_reported_for_any_float_schedule(eta, gamma, rate_const, dt):
     # (1 - eta * gamma)^150 = (-99)^150 overflows a Python float with an
-    # OverflowError; a numpy float step size or gamma would overflow to inf
-    # silently
+    # OverflowError; a numpy float step size, gamma, rate gain or Euler step
+    # would overflow to inf silently
     gen = np.random.default_rng(0)
     bundle = ss.WeightBundle.from_rng(gen, 6, 9)
     schedule = ss.Schedule("constant", eta)
@@ -136,7 +139,7 @@ def test_decay_overflow_reported_for_any_float_schedule(eta, gamma):
     cfg = ss.SleepConfig(gamma=gamma, schedule=schedule, iterations=5)
     with pytest.raises(DivergenceError,
                        match=r"^weight decay factor overflowed \[presentation 0\]$"):
-        ss.rate_sleep_run(bundle, make_circuit(), cfg, gen)
+        ss.rate_sleep_run(bundle, make_circuit(dt=dt), cfg, gen, rate_const=rate_const)
 
 
 def test_frac_nonneg_accounting():

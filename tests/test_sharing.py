@@ -20,10 +20,12 @@ def test_snr_hand_values():
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["spread", "converged", "flat-column", "dead-column",
                              "zero-mean"]),
-       n=st.integers(3, 8), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_snr_invariant_under_row_permutation(kind, n, d, seed):
+       n=st.integers(3, 8), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+@example(kind="converged", n=3, d=1, seed=26, scale=0.1)
+def test_snr_invariant_under_row_permutation(kind, n, d, seed, scale):
     gen = np.random.default_rng(seed)
-    w = gen.normal(1.0, 1.0, size=(n, d))
+    w = scale * gen.normal(1.0, 1.0, size=(n, d))
     if kind == "converged":
         w[:] = w[0]
     elif kind == "flat-column":
@@ -34,6 +36,9 @@ def test_snr_invariant_under_row_permutation(kind, n, d, seed):
         # a row and its negative sum to exactly zero in either order
         w = np.stack([w[0], -w[0]])
     want = ss.snr(w)
+    if kind in ("converged", "flat-column"):
+        # exactly equal rows in a column read as converged at any scale
+        assert want == math.inf
     moved = w[gen.permutation(len(w))]
     got = ss.snr(moved)
     if want in (0.0, math.inf) or got in (0.0, math.inf):
