@@ -17,7 +17,6 @@ import hashlib
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -293,10 +292,7 @@ class RunDir:
         self.t0 = time.time()
 
     def write_csv(self, name: str, header: str, rows) -> Path:
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        return self.write_text(name, "\n".join(lines) + "\n")
+        return self.write_text(name, _csv_text(header, rows))
 
     def write_text(self, name: str, text: str) -> Path:
         self.path.mkdir(parents=True, exist_ok=True)
@@ -328,11 +324,44 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv_text(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(_csv_cell(v) for v in row) for row in rows]) + "\n"
+
+
+def _write_files(out: RunDir, files) -> None:
+    for name, text in files:
+        out.write_text(name, text)
+
+
+# (fn, cells) of the pool being forked; its workers inherit it, so fn (a
+# closure) is never pickled
+_POOL_WORK = None
+
+
+def _pool_unit(i: int):
+    fn, cells = _POOL_WORK
+    return fn(cells[i])
+
+
 def _run_cells(cells, fn, jobs: int):
-    if jobs <= 1:
+    """[fn(cell) for cell in cells], on up to `jobs` forked worker
+    processes; each result comes back pickled. A pooled fn must not
+    touch the RunDir: it returns its files, and the caller writes them
+    in cell order."""
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, cells))
+    # imported here: a serial run never pays for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _POOL_WORK
+    _POOL_WORK = (fn, cells)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+            return list(ex.map(_pool_unit, range(len(cells))))
+    finally:
+        _POOL_WORK = None
 
 
 def _schedule_from_cfg(cfg) -> Schedule:
@@ -367,10 +396,11 @@ def _sleep_traj_name(k: int, gamma: float, seed_idx: int) -> str:
     return f"traj_k{k}_g{gamma:g}_s{seed_idx}.csv"
 
 
-def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, int, float]]:
-    """Runs cells of one k, writes their trajectories and returns their
-    summary rows. Idealized cells run as one stack through the idealized
-    runner; rate cells run through the circuit one at a time."""
+def _sleep_cells(cfg, cells, rate: bool):
+    """Runs cells of one k and returns their summary rows and their
+    trajectory files, as (name, text) pairs. Idealized cells run as one
+    stack through the idealized runner; rate cells run through the
+    circuit one at a time."""
     gens = [RngStream(cfg["seed"], _sleep_stream(*cell)).generator() for cell in cells]
     bundles = [WeightBundle.from_rng(gen, cfg["n"], k * k, mean=cfg["init_mean"],
                                      std=cfg["init_std"])
@@ -393,18 +423,19 @@ def _sleep_cells(cfg, out: RunDir, cells, rate: bool) -> List[Tuple[int, float, 
     except DivergenceError as e:
         k, gamma, seed_idx = cells[e.cell or 0]
         raise DivergenceError(str(e), f"k={k}, gamma={gamma:g}, seed={seed_idx}") from e
-    rows = []
+    rows, files = [], []
     for (k, gamma, seed_idx), result in zip(cells, results):
         name = _sleep_traj_name(k, gamma, seed_idx)
         if cfg["iters"] > 0:
-            out.write_csv(name, "iteration,neg_log_snr,grid",
-                          [(i, float(v), -1) for i, v in enumerate(result.trajectory)])
+            files.append((name, _csv_text(
+                "iteration,neg_log_snr,grid",
+                [(i, float(v), -1) for i, v in enumerate(result.trajectory)])))
             if rate:
-                out.write_text(name.replace(".csv", ".meta"),
-                               f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
-                               f"frac_nonneg={_csv_cell(result.frac_nonneg)}\n")
+                files.append((name.replace(".csv", ".meta"),
+                              f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
+                              f"frac_nonneg={_csv_cell(result.frac_nonneg)}\n"))
         rows.append((k, gamma, seed_idx, result.terminal))
-    return rows
+    return rows, files
 
 
 def _circuit(cfg) -> ratecircuit.RateCircuit:
@@ -426,9 +457,11 @@ def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
     else:
         # one stack per k: its cells share the weight shape (n, k*k)
         units = [[cell for cell in cells if cell[0] == k] for k in cfg["k"]]
-    rows = _run_cells(units, lambda unit: _sleep_cells(cfg, out, unit, rate), cfg["jobs"])
-    summary = [(k, g, s, term, sharing.neg_log_snr_floor(g))
-               for unit_rows in rows for (k, g, s, term) in unit_rows]
+    summary = []
+    for rows, files in _run_cells(units, lambda unit: _sleep_cells(cfg, unit, rate),
+                                  cfg["jobs"]):
+        _write_files(out, files)
+        summary += [(k, g, s, term, sharing.neg_log_snr_floor(g)) for (k, g, s, term) in rows]
     out.write_csv("summary.csv",
                   "k,gamma,seed,terminal_neg_log_snr,neg_log_snr_floor", summary)
     return EXIT_OK
@@ -513,7 +546,8 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
                        [_sigma_traj_name(*c) for c in cells])
 
     def run(cells, a, b, iters):
-        """The cells of one sigma as one stack; writes their trajectories."""
+        """The cells of one sigma as one stack: their results and their
+        trajectory files."""
         sig = cells[0][0]
         try:
             results = sharing.noise_floor_run(
@@ -524,22 +558,27 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
         except DivergenceError as e:
             _, s = cells[e.cell]
             raise DivergenceError(str(e), f"sigma={sig:g}, seed={s}") from e
-        for cell, res in zip(cells, results):
-            out.write_csv(_sigma_traj_name(*cell), "iteration,dist_sq",
-                          [(i, float(v)) for i, v in enumerate(res.dist_sq)])
-        return results
+        files = [(_sigma_traj_name(*cell), _csv_text(
+            "iteration,dist_sq", [(i, float(v)) for i, v in enumerate(res.dist_sq)]))
+            for cell, res in zip(cells, results)]
+        return results, files
 
-    slope_runs = run([(0.0, s) for s in slope_cells],
-                     cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"])
+    slope_runs, files = run([(0.0, s) for s in slope_cells],
+                            cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"])
+    _write_files(out, files)
     slopes = [sharing.loglog_slope(res.dist_sq) for res in slope_runs]
     out.write_csv("slopes.csv", "seed,loglog_slope",
                   [(s, sl) for s, sl in enumerate(slopes)])
 
     def run_plateaus(sig):
-        cells = [(sig, s) for s in range(cfg["seeds"])]
-        return [res.plateau for res in run(cells, cfg["a"], cfg["b"], cfg["iters"])]
+        results, files = run([(sig, s) for s in range(cfg["seeds"])],
+                             cfg["a"], cfg["b"], cfg["iters"])
+        return [res.plateau for res in results], files
 
-    plateaus = _run_cells(cfg["sigma"], run_plateaus, cfg["jobs"])
+    plateaus = []
+    for plats, files in _run_cells(cfg["sigma"], run_plateaus, cfg["jobs"]):
+        _write_files(out, files)
+        plateaus.append(plats)
     summary = []
     report = [f"slope range over seeds: [{min(slopes):.3f}, {max(slopes):.3f}]"]
     prev = None
@@ -561,11 +600,12 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
 # train and compare
 
 
-def _write_history(out: RunDir, prefix: str, history: trainer.TrainHistory) -> None:
-    out.write_csv(f"{prefix}metrics.csv", "epoch,split,accuracy_top1,loss",
-                  [(e, s, a, l) for (e, s, a, l) in history.metrics])
-    out.write_csv(f"{prefix}events.csv", "event,layer,neg_log_snr_pre,neg_log_snr_post",
-                  [(b, n, pre, post) for (b, n, pre, post) in history.events])
+def _history_files(prefix: str, history: trainer.TrainHistory) -> List[Tuple[str, str]]:
+    return [
+        (f"{prefix}metrics.csv", _csv_text("epoch,split,accuracy_top1,loss", history.metrics)),
+        (f"{prefix}events.csv", _csv_text("event,layer,neg_log_snr_pre,neg_log_snr_post",
+                                          history.events)),
+    ]
 
 
 def _parse_arm(spec: str) -> Tuple[str, int]:
@@ -633,7 +673,7 @@ def _arm_kwargs(cfg, arm_spec: str, image: int) -> Tuple[str, Dict[str, object]]
 def cmd_train(cfg, out: RunDir) -> int:
     arm, kwargs = _arm_kwargs(cfg, cfg["arm"], _idx_image_side(cfg))
     history = trainer.run_experiment(arm, cfg["seed"], **kwargs)
-    _write_history(out, "", history)
+    _write_files(out, _history_files("", history))
     print(f"{cfg['arm']} seed {cfg['seed']}: final test accuracy "
           f"{history.final_test_accuracy:.3f}")
     return EXIT_OK
@@ -650,13 +690,12 @@ def cmd_compare(cfg, out: RunDir) -> int:
         arm, kwargs = runs[arm_spec]
         history = trainer.run_experiment(arm, cfg["seed"] + s, **kwargs)
         tag = arm_spec.replace(":", "")
-        _write_history(out, f"{tag}_s{s}_", history)
-        return history.final_test_accuracy
+        return history.final_test_accuracy, _history_files(f"{tag}_s{s}_", history)
 
-    accs = _run_cells(cells, run, cfg["jobs"])
     acc_by_arm: Dict[str, List[float]] = {}
     rows = []
-    for (arm_spec, s), acc in zip(cells, accs):
+    for (arm_spec, s), (acc, files) in zip(cells, _run_cells(cells, run, cfg["jobs"])):
+        _write_files(out, files)
         rows.append((arm_spec, s, acc))
         acc_by_arm.setdefault(arm_spec, []).append(acc)
     out.write_csv("summary.csv", "arm,seed,test_accuracy_top1", rows)

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every numerical failure mode maps onto one of these so the CLI can turn
-them into stable exit codes.
+them into stable exit codes. Each rebuilds from its constructor
+arguments when unpickled, so it crosses from a `--jobs N` worker process
+to the CLI with its message and attributes intact.
 """
 
 from typing import Optional
@@ -16,10 +18,14 @@ class SingularMatrixError(ArithmeticError):
 
     def __init__(self, pivot: int, detail: str = ""):
         self.pivot = pivot
+        self.detail = detail
         msg = f"matrix is not positive definite (failing pivot index {pivot})"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        return type(self), (self.pivot, self.detail)
 
 
 class DivergenceError(ArithmeticError):
@@ -31,9 +37,13 @@ class DivergenceError(ArithmeticError):
     """
 
     def __init__(self, message: str, context: str = "", cell: Optional[int] = None):
+        self.message = message
         self.context = context
         self.cell = cell
         super().__init__(f"{message} [{context}]" if context else message)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.context, self.cell)
 
 
 class ToleranceError(Exception):
@@ -42,3 +52,6 @@ class ToleranceError(Exception):
     def __init__(self, message: str, worst: float):
         self.worst = worst
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.worst)

@@ -80,7 +80,8 @@ __all__ = [
 ]
 
 
-@dataclass
+# equality is identity: the generated == would compare array fields and raise
+@dataclass(eq=False)
 class RateCircuit:
     tau: float            # membrane time constant, ms
     alpha: float          # inhibition strength; inf runs the settled limit

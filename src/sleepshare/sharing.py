@@ -208,7 +208,8 @@ def bias_coefficient(alpha: float) -> float:
 # bundles and configuration
 
 
-@dataclass
+# equality is identity: the generated == would compare array fields and raise
+@dataclass(eq=False)
 class WeightBundle:
     """N weight vectors plus the frozen snapshot they are anchored to; or,
     with (S, N, D) arrays, a stack of S such bundles."""

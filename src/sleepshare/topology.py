@@ -82,7 +82,8 @@ def padded_windows(x: np.ndarray, kernel: int, pad: int, mode: PaddingMode = "ze
     return np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(x.ndim - 2, x.ndim - 1))
 
 
-@dataclass
+# equality is identity: the generated == would compare array fields and raise
+@dataclass(eq=False)
 class _Layer:
     """The fields, checks and Kaiming draw a LocalLayer and a ConvLayer
     share; each names only its weight shape. The output has the input's
@@ -119,7 +120,8 @@ class _Layer:
         return cls(in_channels, out_channels, height, width, kernel, w, **kw)
 
 
-@dataclass
+# eq=False again: a subclass generates its own __eq__ otherwise
+@dataclass(eq=False)
 class LocalLayer(_Layer):
     """Restricted receptive fields with an independent kernel at every
     spatial position."""
@@ -129,7 +131,7 @@ class LocalLayer(_Layer):
         return (o, c, h, w, k, k)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvLayer(_Layer):
     """Same geometry as LocalLayer but one shared kernel per channel pair."""
 

@@ -32,7 +32,8 @@ backward and returns no cache. A training cache is valid until the
 stack's next training forward, which reuses its buffers; backward
 raises on a stale one. Evaluation forwards touch none of them, so they
 may run between a forward and its backward. Stacks share no buffers, so
-the runs of `compare --jobs N` on separate threads stay independent.
+runs of `compare --jobs N` stay independent; they run in separate
+worker processes.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from sleepshare import cli
+from sleepshare.errors import DivergenceError, SingularMatrixError, ToleranceError
 
 
 def run(*argv):
@@ -369,6 +372,50 @@ def test_divergence_exit_code_writes_manifest(tmp_path, capsys):
     assert "iteration " in err
 
 
+def test_pooled_divergence_exit_code_writes_manifest(tmp_path, capfd):
+    # the same divergence with two k units in the worker processes: the
+    # failing unit's error crosses back and names the same cell; worker
+    # stderr goes to the file descriptor, hence capfd
+    argv = ["sleep-ideal", "--schedule", "constant", "--eta-a", "1e-3", "--k", "3,6",
+            "--gamma", "1e-2,1e4", "--seeds", "2", "--iters", "1000"]
+    err = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        assert run(*argv, "--jobs", str(jobs), "--out", str(out)) == cli.EXIT_DIVERGENCE
+        assert (out / "manifest.txt").exists()
+        err[jobs] = capfd.readouterr().err.splitlines()
+    assert len(err[1]) == 1 and err[1][0].startswith("numerical failure: ")
+    assert "k=3, gamma=10000, seed=1" in err[1][0]
+    assert err[2] == err[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_runs_leave_no_worker_running(tmp_path):
+    # a process may make several pooled calls in a row; each gets its own
+    # pool and leaves no worker behind
+    argv = ["sleep-ideal", "--k", "3,6", "--gamma", "1e-2", "--seeds", "2", "--iters", "20",
+            "--jobs", "2"]
+    for i in range(2):
+        assert run(*argv, "--out", str(tmp_path / f"r{i}")) == 0
+        assert multiprocessing.active_children() == []
+    for name in ("summary.csv", "traj_k6_g0.01_s1.csv"):
+        assert (tmp_path / "r0" / name).read_bytes() == (tmp_path / "r1" / name).read_bytes()
+
+
+@pytest.mark.parametrize("err", [
+    SingularMatrixError(3, "detail"),
+    DivergenceError("non-finite weights", "iteration 7", cell=2),
+    ToleranceError("breach", 0.5),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(err):
+    # a pooled unit's error reaches the main process pickled
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert str(back) == str(err)
+    assert back.args == err.args
+    assert vars(back) == vars(err)
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert run("sleep-ideal", "--granularity", "9") == cli.EXIT_USAGE
 
@@ -561,6 +608,15 @@ def test_cold_start_loads_no_scipy():
     out = _python("import sys\nimport sleepshare.cli\n"
                   "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
     assert out.split() == ["False", "True"]
+
+
+def test_cold_start_loads_no_pool():
+    # a serial run never uses the process pool, so nothing of it loads up
+    # front: concurrent.futures.process alone takes about 24 ms
+    out = _python("import sys\nimport sleepshare.cli\n"
+                  "print([m for m in ('concurrent.futures.thread', 'concurrent.futures.process',"
+                  " 'multiprocessing') if m in sys.modules])")
+    assert out.strip() == "[]"
 
 
 def test_subcommands_import_nothing_after_start_up(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -419,3 +420,13 @@ def test_blocked_runner_diverges_as_per_presentation_oracle(alpha, plasticity, s
     args = (alpha, plasticity, start, 10.0 ** log_eta, gamma, n, seed)
     assert (divergence_outcome(ss.rate_sleep_run, *args)
             == divergence_outcome(propagator_rate_sleep_run, *args))
+
+
+def test_circuit_and_bundle_equality_is_identity():
+    # a field-wise == would compare the rate and weight arrays and raise
+    circuit = make_circuit()
+    circuit.reset(4)
+    bundle = ss.WeightBundle(np.ones((3, 4)), np.ones((3, 4)))
+    for obj in (circuit, bundle):
+        assert (obj == copy.deepcopy(obj)) is False
+        assert (obj == obj) is True

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -217,3 +219,11 @@ def test_layer_shape_validation():
         LocalLayer(1, 1, 4, 4, 3, np.zeros((1, 1, 4, 4, 5, 5)))
     with pytest.raises(ValueError):
         LocalLayer(1, 1, 4, 4, 2, np.zeros((1, 1, 4, 4, 2, 2)))  # even kernel
+
+
+@pytest.mark.parametrize("cls", [LocalLayer, ConvLayer])
+def test_layer_equality_is_identity(cls):
+    # a field-wise == would compare the weight arrays and raise
+    layer = cls.kaiming(np.random.default_rng(0), 1, 2, 5, 5, 3)
+    assert (layer == copy.deepcopy(layer)) is False
+    assert (layer == layer) is True
