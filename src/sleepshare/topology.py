@@ -18,7 +18,11 @@ pattern property are exact only without a zero boundary.
 `local_forward` works batch-innermost: inputs (H, W, C, B), im2col
 columns (H'*W', C*k*k, B) and a position-batched matmul with the
 position-major weights (H'*W', O, C*k*k) (`position_weights`) into
-outputs (H', W', O, B). It takes the output rows in blocks of about
+outputs (H', W', O, B). `position_weights` is a view, not a copy, of
+per-position weights held in (H', W', O, C, k, k) memory, as the trainer
+holds its LC parameters, and of a shared kernel, which enters with
+stride 0 over positions; weights in any other memory order are copied.
+It takes the output rows in blocks of about
 `_BLOCK_BYTES` of columns: one strided copy from the padded plane fills
 a block and the block's matmul reads it while it is in cache. Each
 position's product is the same gemm on the same operands in the same
@@ -27,7 +31,9 @@ that keeps the columns (for a backward pass) gets them whole; one that
 does not passes keep_cols=False and every block reuses one block-sized
 scratch. A `Workspace` holds the padded plane, the columns and the
 output from call to call, one buffer per key and role, re-made only when
-a shape changes.
+a shape changes. A caller that writes its input straight into the
+interior of that padded plane (`_plane_interior`, as the trainer's pool
+does) saves the call its copy.
 """
 
 from __future__ import annotations
@@ -156,15 +162,19 @@ def tile_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def position_weights(weights: np.ndarray, height: int, width: int) -> np.ndarray:
-    """The contiguous (height*width, out, in*k*k) position-major copy of
-    per-position (out, in, height, width, k, k) weights, or of the LC layer
-    tied to a shared (out, in, k, k) kernel. Contiguous in both cases,
-    because matmul's rounding can depend on its operands' strides and a
-    conv kernel must give the bits of its tied LC layer."""
+    """The (height*width, out, in*k*k) position-major form of per-position
+    (out, in, height, width, k, k) weights, or of the LC layer tied to a
+    shared (out, in, k, k) kernel. A view, not a copy, for weights held
+    in (height, width, out, in, k, k) memory (the trainer's LC
+    parameters) and for a C-contiguous shared kernel, which enters with
+    stride 0 over positions; other per-position layouts are copied. Every
+    position's (out, in*k*k) matrix is C-contiguous either way, because
+    matmul's rounding can depend on its operands' strides and a conv
+    kernel must give the bits of its tied LC layer."""
     o, c, k = weights.shape[0], weights.shape[1], weights.shape[-1]
     if weights.ndim == 4:
-        flat = weights.reshape(o, c * k * k)
-        return np.broadcast_to(flat, (height * width, o, c * k * k)).copy()
+        flat = np.ascontiguousarray(weights).reshape(o, c * k * k)
+        return np.broadcast_to(flat, (height * width, o, c * k * k))
     flat = weights.transpose(2, 3, 0, 1, 4, 5).reshape(height * width, o, c * k * k)
     return np.ascontiguousarray(flat)
 
@@ -194,19 +204,42 @@ class Workspace:
 _BLOCK_BYTES = 512 * 1024
 
 
-def _padded_plane(ws: Workspace, key, x: np.ndarray, pad: int, mode: PaddingMode) -> np.ndarray:
+def _role(key, keep_cols: bool):
+    return (key, "cached" if keep_cols else "scratch")
+
+
+def _plane(ws: Workspace, role, shape, pad: int, mode: PaddingMode) -> np.ndarray:
+    """The workspace's padded (H + 2*pad, W + 2*pad, C, B) plane for a
+    batch-innermost (H, W, C, B) input. The key holds the mode and pad,
+    so a zero plane's border, written by nobody, stays zero."""
+    h, w, c, b = shape
+    return ws.buffer((role, "plane", mode, pad), (h + 2 * pad, w + 2 * pad, c, b),
+                     zeroed=True)
+
+
+def _plane_interior(ws: Workspace, key, keep_cols: bool, shape, pad: int) -> np.ndarray:
+    """The interior of the zero-padded plane that `local_forward` with
+    this workspace, key and keep_cols copies an input of the given
+    (H, W, C, B) shape into. An input written here in place is not
+    copied again."""
+    h, w = shape[:2]
+    return _plane(ws, _role(key, keep_cols), shape, pad, "zeros")[pad:pad + h, pad:pad + w]
+
+
+def _padded_plane(ws: Workspace, role, x: np.ndarray, pad: int, mode: PaddingMode) -> np.ndarray:
     """The batch-innermost (H, W, C, B) input padded on its two spatial
-    axes, in the workspace. The key holds the mode and pad, so a zero
-    plane's border, written by nobody, stays zero."""
+    axes, in the workspace."""
     if mode not in ("zeros", "circular"):
         raise ValueError(f"unknown padding mode {mode!r}")
-    h, w, c, b = x.shape
-    xp = ws.buffer((key, "plane", mode, pad), (h + 2 * pad, w + 2 * pad, c, b),
-                   zeroed=True)
+    h, w = x.shape[:2]
+    xp = _plane(ws, role, x.shape, pad, mode)
     if mode == "circular":
         xp[...] = np.pad(x, ((pad, pad), (pad, pad), (0, 0), (0, 0)), mode="wrap")
-    else:
-        xp[pad:pad + h, pad:pad + w] = x
+        return xp
+    interior = xp[pad:pad + h, pad:pad + w]
+    if (interior.__array_interface__["data"][0] != x.__array_interface__["data"][0]
+            or interior.strides != x.strides):
+        interior[...] = x
     return xp
 
 
@@ -237,7 +270,7 @@ def local_forward(x: np.ndarray, weights: np.ndarray, pad: int,
     Without a workspace every buffer is new.
     """
     ws = Workspace() if workspace is None else workspace
-    role = (key, "cached" if keep_cols else "scratch")
+    role = _role(key, keep_cols)
     xp = _padded_plane(ws, role, x, pad, mode)
     h, w, c, b = x.shape
     o, k = weights.shape[0], weights.shape[-1]

@@ -12,28 +12,40 @@ agree bit for bit in loss and gradients.
 Layout: batches enter as (B, C, H, W); from the first layer to the
 global pool activations run batch-innermost, (H, W, C, B), so a layer is
 one position-batched matmul on im2col columns (H*W, C*k*k, B) and the
-elementwise steps run over contiguous memory. Backward forms the kernel
-gradient as g @ colsᵀ and the input gradient as wᵀ @ g, with g the
-transposed view of a contiguous (H*W, B, O) copy of the output gradient,
-then adds the input gradient back window offset by window offset
-(col2im). These are the operands, in order and layout, that the
-per-position einsum used before passed to matmul, so every sum runs in
-the same order: logits, loss and gradients keep the einsum's bits
-(tests/test_trainer.py keeps it as the oracle). Layer 1's input
+elementwise steps run over contiguous memory. An LC layer's kernels keep
+the public (O, C, H, W, k, k) index order but are held in
+(H, W, O, C, k, k) memory, and so are their gradients and AdamW moments:
+`position_weights` hands the matmul the (H*W, O, C*k*k) operand as a
+view, the kernel gradient g @ colsᵀ lands in that order, and the
+optimizer's passes copy nothing. g is the transposed view of a
+contiguous (H*W, B, O) buffer, which the ReLU mask of layer 2 and the
+pool backward of layer 1 write in one pass each. The input gradient
+wᵀ @ g takes its rows in window-offset-major (i, j, c) order, from one
+permuted copy of the weights, and is formed one output row at a time and
+added onto a padded plane window offset by window offset (col2im) while
+the row is in cache. These are the operands, in order and layout, that
+the per-position einsum used before passed to matmul, and every sum
+runs in the same order: logits, loss and gradients keep the einsum's
+bits (tests/test_trainer.py keeps it as the oracle). Layer 1's input
 gradient is not formed.
 
-Buffers: each LayerStack owns one `topology.Workspace`, and its layer
+Buffers: each LayerStack owns one `topology.Workspace`. Its layer
 forwards write the padded planes, the columns and the layer outputs
-there, one buffer per layer and role. A training forward keeps each
-layer's columns whole for backward; an evaluation forward
+there, one buffer per layer and role, and the 2x2 pool writes straight
+into layer 2's padded plane. A training forward keeps each layer's
+columns whole for backward; an evaluation forward
 (`forward(x, cache=False)`, as `_evaluate` runs it) builds them block by
 block in one block-sized scratch, keeps no mask, columns or output for
 backward and returns no cache. A training cache is valid until the
 stack's next training forward, which reuses its buffers; backward
-raises on a stale one. Evaluation forwards touch none of them, so they
-may run between a forward and its backward. Stacks share no buffers, so
-runs of `compare --jobs N` stay independent; they run in separate
-worker processes.
+raises on a stale one. Backward writes each layer's output gradient
+over that layer's output, which the cache no longer reads once it holds
+the ReLU masks, and keeps the permuted weights and the col2im plane in
+buffers of its own; every call rewrites all of them in full, so a cache
+may be backpropagated twice, and evaluation forwards, which touch none
+of these buffers, may run between a forward and its backward. Stacks
+share no buffers, so runs of `compare --jobs N` stay independent; they
+run in separate worker processes.
 """
 
 from __future__ import annotations
@@ -47,8 +59,8 @@ import numpy as np
 from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import kernel_grid_neg_log_snr, share_kernel_grid_means
-from .topology import (Workspace, grid_slices, kaiming_std, local_forward,
-                       position_weights, tile_kernel)
+from .topology import (Workspace, _plane_interior, grid_slices, kaiming_std,
+                       local_forward, position_weights, tile_kernel)
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
@@ -203,9 +215,9 @@ class TrainConfig:
 class LayerStack:
     """Two conv or LC layers, avgpool between, global pool, linear head.
 
-    LC kernels are indexed (out_ch, in_ch, y, x, ky, kx); conv kernels
-    (out_ch, in_ch, ky, kx). Kaiming-normal init, no biases in the
-    feature layers.
+    LC kernels are indexed (out_ch, in_ch, y, x, ky, kx) and held in
+    (y, x, out_ch, in_ch, ky, kx) memory; conv kernels (out_ch, in_ch,
+    ky, kx). Kaiming-normal init, no biases in the feature layers.
     """
 
     def __init__(self, kind: str, gen: np.random.Generator, image: int = 16,
@@ -229,16 +241,16 @@ class LayerStack:
             k1 = gen.normal(0, std, size=(channels, in_channels, k, k))
             k2 = gen.normal(0, std, size=(channels, channels, k, k))
         elif tie_kernels is not None:
-            k1 = tile_kernel(tie_kernels[0], image, image)
-            k2 = tile_kernel(tie_kernels[1], h2, h2)
+            k1 = _position_major(tile_kernel(tie_kernels[0], image, image))
+            k2 = _position_major(tile_kernel(tie_kernels[1], h2, h2))
         elif grid_tied:
             # one fresh kernel per grid, replicated across the grid's
             # positions: full Kaiming scale, already in the shared set
             k1 = self._grid_tied(gen, std, channels, in_channels, image, k)
             k2 = self._grid_tied(gen, std, channels, channels, h2, k)
         else:
-            k1 = gen.normal(0, std, size=(channels, in_channels, image, image, k, k))
-            k2 = gen.normal(0, std, size=(channels, channels, h2, h2, k, k))
+            k1 = _position_major(gen.normal(0, std, size=(channels, in_channels, image, image, k, k)))
+            k2 = _position_major(gen.normal(0, std, size=(channels, channels, h2, h2, k, k)))
         self.params: Dict[str, np.ndarray] = {
             "layer1": k1,
             "layer2": k2,
@@ -252,7 +264,7 @@ class LayerStack:
 
     @staticmethod
     def _grid_tied(gen, std, out_c, in_c, side, k) -> np.ndarray:
-        out = np.empty((out_c, in_c, side, side, k, k))
+        out = np.empty((side, side, out_c, in_c, k, k)).transpose(2, 3, 0, 1, 4, 5)
         for ys, xs in grid_slices(k):
             block = gen.normal(0, std, size=(out_c, in_c, k, k))
             out[:, :, ys, xs] = block[:, :, None, None, :, :]
@@ -268,29 +280,38 @@ class LayerStack:
                              key=layer, keep_cols=cache)
 
     def _layer_backward(self, grad_out, win, kernels, x_shape, input_grad: bool = True):
-        """Gradients of a layer from its output gradient (H, W, O, B) and
-        its forward's columns `win` (H*W, C*k*k, B): the kernel gradient in
-        the parameter's layout and, unless input_grad is False, the input
-        gradient in the input's (H, W, C, B) layout."""
+        """Gradients of a layer from its output gradient and its forward's
+        columns `win` (H*W, C*k*k, B): the kernel gradient in the
+        parameter's layout and, unless input_grad is False, the input
+        gradient in the input's (H, W, C, B) layout, a view of the
+        stack's col2im plane valid until the next backward. grad_out is
+        the (H, W, O, B) view of a contiguous (H*W, B, O) buffer
+        (`_gradient_view`)."""
         h, w, o, b = grad_out.shape
         k = self.kernel
-        # the output gradient enters both products as the transposed view
-        # of a contiguous (H*W, B, O) copy: the operands, in order and
-        # layout, that the einsum pair before im2col passed to matmul, so
-        # every sum runs in the same order and gives the same bits
-        g = np.ascontiguousarray(grad_out.reshape(h * w, o, b).transpose(0, 2, 1))
-        g = g.transpose(0, 2, 1)
+        # the (H*W, O, B) transposed view of the buffer: the operand, in
+        # order and layout, that the einsum pair before im2col passed to
+        # matmul, so every sum runs in the same order and gives the same bits
+        g = grad_out.reshape(h * w, o, b)
         dk = np.matmul(g, win.transpose(0, 2, 1))             # (H*W, O, C*k*k)
         c = dk.shape[2] // (k * k)
         if kernels.ndim == 4:
             # one kernel tied across all positions: its gradient is their sum
             dk = dk.sum(axis=0).reshape(o, c, k, k)
         else:
+            # position-major, as the parameter is held
             dk = dk.reshape(h, w, o, c, k, k).transpose(2, 3, 0, 1, 4, 5)
         if not input_grad:
             return dk, None
-        contrib = np.matmul(position_weights(kernels, h, w).transpose(0, 2, 1), g)
-        return dk, _scatter_windows(contrib, x_shape, k // 2)
+        # the input gradient's rows in window-offset-major (i, j, c) order:
+        # each window offset's rows are then one (C, B) run per position
+        wt = self._workspace.buffer("window weights", (h * w, o, k * k * c))
+        np.copyto(wt.reshape(h * w, o, k, k, c),
+                  position_weights(kernels, h, w).reshape(h * w, o, c, k, k).transpose(0, 1, 3, 4, 2))
+        pad = k // 2
+        xh, xw, xc, xb = x_shape
+        plane = self._workspace.buffer("col2im", (xh + 2 * pad, xw + 2 * pad, xc, xb))
+        return dk, _scatter_windows(wt.transpose(0, 2, 1), g, plane, pad)
 
     def forward(self, x: np.ndarray, cache: bool = True):
         """Logits of a (B, C, H, W) batch and the cache backward reads;
@@ -303,7 +324,11 @@ class LayerStack:
         x = x.transpose(2, 3, 1, 0)
         r1, cols1 = self._layer_forward(x, self.params["layer1"], layer="layer1", cache=cache)
         np.maximum(r1, 0.0, out=r1)
-        p1 = _avgpool2(r1)
+        # the pool goes straight into layer 2's padded input plane
+        h, w, c, b = r1.shape
+        p1 = _plane_interior(self._workspace, "layer2", cache, (h // 2, w // 2, c, b),
+                             self.kernel // 2)
+        _avgpool2(r1, out=p1)
         r2, cols2 = self._layer_forward(p1, self.params["layer2"], layer="layer2", cache=cache)
         np.maximum(r2, 0.0, out=r2)
         pooled = r2.mean(axis=(0, 1)).T
@@ -311,12 +336,17 @@ class LayerStack:
         if not cache:
             return logits, None
         self._forwards += 1
-        # backward needs only where r1 > 0 (exactly where a1 > 0)
+        # backward needs only where r1 > 0 (exactly where a1 > 0) and
+        # r2 > 0, and writes each layer's output gradient over its output
         return logits, dict(forward=self._forwards, x_shape=x.shape, cols1=cols1,
-                            mask1=r1 > 0, p1_shape=p1.shape, cols2=cols2, r2=r2,
+                            mask1=r1 > 0, g1=_gradient_view(r1), p1_shape=p1.shape,
+                            cols2=cols2, mask2=r2 > 0, g2=_gradient_view(r2),
                             pooled=pooled)
 
     def backward(self, grad_logits: np.ndarray, cache) -> Dict[str, np.ndarray]:
+        """Gradients of every parameter from the loss gradient of the
+        logits and a valid training cache; the cache stays valid, so a
+        second backward on it gives the same bits."""
         if cache["forward"] != self._forwards:
             raise RuntimeError(f"stale cache: it is from caching forward {cache['forward']}, "
                                f"and forward {self._forwards} has reused its buffers")
@@ -324,42 +354,74 @@ class LayerStack:
         grads["head_w"] = cache["pooled"].T @ grad_logits
         grads["head_b"] = grad_logits.sum(axis=0)
         dpooled = grad_logits @ self.params["head_w"].T
-        r2 = cache["r2"]
-        da2 = dpooled.T / (r2.shape[0] * r2.shape[1]) * (r2 > 0)
+        da2 = cache["g2"]
+        np.multiply(dpooled.T / (da2.shape[0] * da2.shape[1]), cache["mask2"], out=da2)
         grads["layer2"], dp1 = self._layer_backward(da2, cache["cols2"], self.params["layer2"],
                                                     cache["p1_shape"])
-        da1 = _avgpool2_backward(dp1, cache["mask1"])
+        da1 = cache["g1"]
+        _avgpool2_backward(dp1, cache["mask1"], out=da1)
         # the input gradient of layer 1 is never used
         grads["layer1"], _ = self._layer_backward(da1, cache["cols1"], self.params["layer1"],
                                                   cache["x_shape"], input_grad=False)
         return grads
 
 
-def _scatter_windows(contrib: np.ndarray, x_shape, pad: int) -> np.ndarray:
-    """col2im: window gradients contrib (H*W, C*k*k, B) accumulated onto
-    the padded (H, W, C, B) input plane, window offset (i, j) by offset in
-    row-major order, and cropped back to the input."""
-    h, w, c, b = x_shape
-    k = 2 * pad + 1
-    win = contrib.reshape(h, w, c, k, k, b)
-    out = np.zeros((h + 2 * pad, w + 2 * pad, c, b))
-    for i in range(k):
-        for j in range(k):
-            out[i:i + h, j:j + w] += win[:, :, :, i, j]
-    return out[pad:pad + h, pad:pad + w]
+def _gradient_view(out: np.ndarray) -> np.ndarray:
+    """A layer's contiguous (H, W, O, B) output memory read as a
+    contiguous (H*W, B, O) buffer, seen in (H, W, O, B) order: the
+    `_layer_backward` grad_out that backward writes over an output it no
+    longer reads."""
+    h, w, o, b = out.shape
+    return out.reshape(h * w, b, o).transpose(0, 2, 1).reshape(h, w, o, b)
 
 
-def _avgpool2(x: np.ndarray) -> np.ndarray:
+def _position_major(kernels: np.ndarray) -> np.ndarray:
+    """Per-position (O, C, H, W, k, k) kernels copied into
+    (H, W, O, C, k, k) memory, in their (O, C, H, W, k, k) index order:
+    the transposed view that `position_weights` turns into the
+    (H*W, O, C*k*k) matmul operand without a copy."""
+    return np.ascontiguousarray(kernels.transpose(2, 3, 0, 1, 4, 5)).transpose(2, 3, 0, 1, 4, 5)
+
+
+def _scatter_windows(wt: np.ndarray, g: np.ndarray, plane: np.ndarray, pad: int) -> np.ndarray:
+    """col2im: the input gradient of a layer from its window gradients
+    wt @ g, wt (H*W, k*k*C, O) with rows in window-offset-major (i, j, c)
+    order and g (H*W, O, B). One output row at a time, bottom row first,
+    the row's (W, k*k*C, B) window gradients are formed and added onto
+    the zeroed padded (H + 2*pad, W + 2*pad, C, B) plane window offset
+    (i, j) by offset in row-major order, while they are in cache. A row
+    holds larger offsets i for each plane cell than the rows below it,
+    so every cell still sums its terms in (i, j) row-major order.
+    Returns the plane's (H, W, C, B) interior."""
+    hp, wp, c, b = plane.shape
+    h, w, k = hp - 2 * pad, wp - 2 * pad, 2 * pad + 1
+    plane.fill(0.0)
+    for y in range(h - 1, -1, -1):
+        rows = slice(y * w, (y + 1) * w)
+        win = np.matmul(wt[rows], g[rows]).reshape(w, k, k, c, b)
+        for i in range(k):
+            for j in range(k):
+                plane[y + i, j:j + w] += win[:, i, j]
+    return plane[pad:pad + h, pad:pad + w]
+
+
+def _avgpool2(x: np.ndarray, out: np.ndarray) -> None:
+    """The 2x2 mean pool of a (H, W, C, B) array into out
+    (H/2, W/2, C, B): the sum and the division `mean` runs, in place."""
     h, w, c, b = x.shape
-    return x.reshape(h // 2, 2, w // 2, 2, c, b).mean(axis=(1, 3))
+    np.add.reduce(x.reshape(h // 2, 2, w // 2, 2, c, b), axis=(1, 3), out=out)
+    np.true_divide(out, 4, out=out)
 
 
-def _avgpool2_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The pool's input gradient, each (H/2, W/2, C, B) entry spread over
-    its 2x2 block, times the (H, W, C, B) ReLU mask of that input."""
-    h, w, c, b = mask.shape
-    spread = (grad / 4.0)[:, None, :, None]
-    return np.multiply(spread, mask.reshape(h // 2, 2, w // 2, 2, c, b)).reshape(h, w, c, b)
+def _avgpool2_backward(grad: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
+    """The pool's input gradient into out (H, W, C, B): each
+    (H/2, W/2, C, B) entry of grad, divided by 4 in place, spread over
+    its 2x2 block, times the (H, W, C, B) ReLU mask of that input; one
+    product per block corner."""
+    spread = np.true_divide(grad, 4.0, out=grad)
+    for i in range(2):
+        for j in range(2):
+            np.multiply(spread, mask[i::2, j::2], out=out[i::2, j::2])
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -399,18 +461,22 @@ class AdamW:
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # one scratch per parameter, in its memory order, for every step
+        self._tmp = {k: np.empty_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]):
         self.t += 1
         out = {}
         for name, p in params.items():
-            # an LC gradient arrives position-major: one copy into the
-            # parameter's order keeps the passes below contiguous
-            g = np.ascontiguousarray(grads[name])
+            # an LC parameter, its gradient, m and v share one
+            # position-major memory order (zeros_like and every new
+            # array below keep it), so each pass runs over contiguous
+            # memory with no copy
+            g = grads[name]
             m, v = self.m[name], self.v[name]
             m *= self.beta1
-            tmp = np.multiply(1 - self.beta1, g)
+            tmp = np.multiply(1 - self.beta1, g, out=self._tmp[name])
             m += tmp
             v *= self.beta2
             np.multiply(1 - self.beta2, g, out=tmp)

@@ -175,15 +175,18 @@ def test_gradients_match_finite_differences():
         for flat_idx in picks:
             j = int(np.searchsorted(np.cumsum(sizes), flat_idx, side="right"))
             idx = int(flat_idx - np.concatenate([[0], np.cumsum(sizes)])[j])
-            p = stack.params[names[j]].reshape(-1)
-            old = p[idx]
-            p[idx] = old + eps
+            # perturb the parameter itself: reshape(-1) of one that is not
+            # C-contiguous (an LC layer's position-major memory) is a copy
+            p = stack.params[names[j]]
+            pos = np.unravel_index(idx, p.shape)
+            old = p[pos]
+            p[pos] = old + eps
             lp, _ = forward_backward(stack, x, y)
-            p[idx] = old - eps
+            p[pos] = old - eps
             lm, _ = forward_backward(stack, x, y)
-            p[idx] = old
+            p[pos] = old
             fd = (lp - lm) / (2 * eps)
-            an = grads[names[j]].reshape(-1)[idx]
+            an = grads[names[j]][pos]
             rel = abs(fd - an) / max(1.0, abs(fd))
             worst = max(worst, rel)
     report(6, worst <= 1e-4,

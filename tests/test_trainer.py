@@ -232,16 +232,18 @@ def test_gradients_match_finite_differences(kind):
     eps = 1e-6
     check_gen = np.random.default_rng(12)
     for name, p in stack.params.items():
-        flat = p.reshape(-1)
-        for idx in check_gen.choice(flat.size, size=min(4, flat.size), replace=False):
-            old = flat[idx]
-            flat[idx] = old + eps
+        for idx in check_gen.choice(p.size, size=min(4, p.size), replace=False):
+            # perturb the parameter itself: reshape(-1) of one that is not
+            # C-contiguous (an LC layer's position-major memory) is a copy
+            pos = np.unravel_index(idx, p.shape)
+            old = p[pos]
+            p[pos] = old + eps
             lp, _ = forward_backward(stack, x, y)
-            flat[idx] = old - eps
+            p[pos] = old - eps
             lm, _ = forward_backward(stack, x, y)
-            flat[idx] = old
+            p[pos] = old
             fd = (lp - lm) / (2 * eps)
-            an = grads[name].reshape(-1)[idx]
+            an = grads[name][pos]
             assert abs(fd - an) < 1e-4 * max(1.0, abs(fd)), (name, idx, fd, an)
 
 
@@ -543,6 +545,76 @@ def test_evaluation_between_forward_and_backward_keeps_gradients(kind):
     assert loss == want_loss
     for name, want in want_grads.items():
         assert np.array_equal(grads[name], want), name
+
+
+@pytest.mark.parametrize("kind", ["lc", "conv"])
+def test_evaluation_between_two_backwards_keeps_gradients(kind):
+    # a second backward on one cache reads the same columns, masks and
+    # buffers, whatever an evaluation did in between
+    stack, x, labels = _stack_and_batch(kind, 6, 1, 3, 3, 8, 24)
+    logits, cache = stack.forward(x)
+    _, grad_logits = softmax_cross_entropy(logits, labels)
+    first = stack.backward(grad_logits, cache)
+    gen = np.random.default_rng(25)
+    stack.forward(gen.normal(size=x.shape), cache=False)
+    _evaluate(stack, gen.normal(size=(9, 1, 8, 8)), np.zeros(9, dtype=int), batch=4)
+    second = stack.backward(grad_logits, cache)
+    for name, want in first.items():
+        assert np.array_equal(second[name], want), name
+
+
+@pytest.mark.parametrize("kind", ["lc", "conv"])
+def test_backward_twice_gives_equal_gradients(kind):
+    # the col2im plane and the output-gradient buffers are rewritten in
+    # full by every backward; the first call's results are copied, so the
+    # check holds even for a result that shared a reused buffer
+    stack, x, labels = _stack_and_batch(kind, 64, 1, 8, 3, 16, 26)
+    logits, cache = stack.forward(x)
+    _, grad_logits = softmax_cross_entropy(logits, labels)
+    first = {n: g.copy() for n, g in stack.backward(grad_logits, cache).items()}
+    second = stack.backward(grad_logits, cache)
+    for name, want in first.items():
+        assert np.array_equal(second[name], want), name
+
+
+def _is_position_major(a):
+    """True when an (O, C, H, W, k, k) array is held in contiguous
+    (H, W, O, C, k, k) memory."""
+    return a.ndim == 6 and a.transpose(2, 3, 0, 1, 4, 5).flags.c_contiguous
+
+
+def test_lc_training_keeps_position_major_memory():
+    # parameters, gradients and AdamW moments stay in the memory order
+    # the layer matmuls read, through optimizer steps and grid sharing,
+    # so no step copies them into another order
+    gen = RngStream(0, (21,)).generator()
+    stack = LayerStack("lc", gen, image=8, channels=2, grid_tied=True)
+    data = Dataset.synthetic(32, gen, image=8)
+    opt = AdamW(stack.params, 3e-3, 1e-4)
+    for name in stack.lc_layer_names:
+        assert _is_position_major(stack.params[name]), name
+    for step in range(3):
+        idx = np.arange(8 * step, 8 * step + 8)
+        _, grads = forward_backward(stack, data.images[idx], data.labels[idx])
+        stack.params = opt.step(stack.params, grads)
+        for name in stack.lc_layer_names:
+            stack.params[name] = ss.share_kernel_grid_means(stack.params[name], stack.kernel)
+            opt.share_state(name, stack.kernel)
+        for name in stack.lc_layer_names:
+            for what, a in (("param", stack.params[name]), ("grad", grads[name]),
+                            ("m", opt.m[name]), ("v", opt.v[name])):
+                assert _is_position_major(a), (step, name, what)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_position_weights_of_lc_parameters_are_views(tied):
+    conv = LayerStack("conv", np.random.default_rng(27), image=8, channels=3)
+    tie = (conv.params["layer1"], conv.params["layer2"]) if tied else None
+    stack = LayerStack("lc", np.random.default_rng(28), image=8, channels=3,
+                       tie_kernels=tie)
+    for name, side in (("layer1", 8), ("layer2", 4)):
+        p = stack.params[name]
+        assert np.shares_memory(topology.position_weights(p, side, side), p), name
 
 
 def test_backward_on_stale_cache_raises():
