@@ -78,8 +78,13 @@ def _int_min(lo: int, step: int = 1):
 
 
 def _list_of(item):
+    """A comma-separated list of at least one item; empty entries are
+    skipped."""
     def parse(s):
-        return [item(v) for v in str(s).split(",") if v != ""]
+        values = [item(v) for v in str(s).split(",") if v != ""]
+        if not values:
+            raise ValueError(f"must list at least one value, got {s!r}")
+        return values
     return parse
 
 
@@ -681,6 +686,10 @@ def cmd_train(cfg, out: RunDir) -> int:
 
 def cmd_compare(cfg, out: RunDir) -> int:
     arms = FULL_MATRIX if cfg["full"] else cfg["arms"]
+    if len(set(arms)) < len(arms):
+        # a second run of an arm would overwrite the first one's files
+        # and weigh twice in its mean
+        raise UsageError(f"--arms names an arm more than once: {','.join(arms)}")
     image = _idx_image_side(cfg)
     runs = {a: _arm_kwargs(cfg, a, image) for a in arms}
     cells = [(a, s) for a in arms for s in range(cfg["seeds"])]

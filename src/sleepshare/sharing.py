@@ -498,24 +498,34 @@ def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
 # layer-level sharing
 
 
+def _check_grid_plane(what: str, height: int, width: int, k: int) -> None:
+    """Raise ValueError unless every one of the k*k grids of a
+    height x width plane has a member: a side shorter than k leaves some
+    grid empty."""
+    if height < k or width < k:
+        raise ValueError(f"{what} needs a 2-D plane of positions at least k = {k} high "
+                         f"and wide, got {height}x{width}")
+
+
 def share_kernel_grid_means(kernels: np.ndarray, k: int,
                             scale_by_group: bool = False) -> np.ndarray:
-    """Project per-position kernels (indexed (out, in, y, x, ky, kx))
+    """Project per-position kernels (indexed (y, x, out, in, ky, kx))
     onto their grid means; ragged edge grids (H, W not multiples of k)
     just average fewer members. With scale_by_group the mean is further
     divided by the grid's member count, the right pooling for
     squared-gradient statistics (the variance of a mean of G independent
     gradients is ~1/G of one position's)."""
+    _check_grid_plane("share_kernel_grid_means", *kernels.shape[:2], k)
     out = np.array(kernels, dtype=np.float64, copy=True)
     for ys, xs in grid_slices(k):
-        sel = out[:, :, ys, xs]
+        sel = out[ys, xs]
         # centered form: exact (bitwise) when the grid already agrees,
         # which is what makes repeated sharing a true projection
-        ref = sel[:, :, :1, :1]
-        mean = ref + (sel - ref).mean(axis=(2, 3), keepdims=True)
+        ref = sel[:1, :1]
+        mean = ref + (sel - ref).mean(axis=(0, 1), keepdims=True)
         if scale_by_group:
-            mean = mean / (sel.shape[2] * sel.shape[3])
-        out[:, :, ys, xs] = mean
+            mean = mean / (sel.shape[0] * sel.shape[1])
+        out[ys, xs] = mean
     return out
 
 
@@ -530,12 +540,11 @@ def kernel_grid_neg_log_snr(kernels: np.ndarray, k: int) -> float:
     """-log snr of a position-indexed kernel tensor: each grid is one
     group (rows = positions, features = flattened kernel), averaged over
     the k^2 grids. Converged grids contribute the finite sentinel."""
+    _check_grid_plane("kernel_grid_neg_log_snr", *kernels.shape[:2], k)
     vals = []
     for ys, xs in grid_slices(k):
-        sel = kernels[:, :, ys, xs]
-        o, ci, gh, gw, kh, kw = sel.shape
-        rows = sel.transpose(2, 3, 0, 1, 4, 5).reshape(gh * gw, o * ci * kh * kw)
-        vals.append(neg_log_snr(rows))
+        sel = kernels[ys, xs]
+        vals.append(neg_log_snr(sel.reshape(sel.shape[0] * sel.shape[1], -1)))
     return float(np.mean(vals))
 
 
@@ -552,15 +561,12 @@ def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
     """
     k, o, c = layer.kernel, layer.out_channels, layer.in_channels
     height, width = layer.height, layer.width
-    if height < k or width < k:
-        # a side shorter than k leaves some grid without a member
-        raise ValueError(f"layer_sleep_run needs a 2-D layer at least k = {k} positions "
-                         f"high and wide, got {height}x{width}")
+    _check_grid_plane("layer_sleep_run", height, width, k)
     gen = rng.generator()
     grids = grid_slices(k)
     bundles = []
     for ys, xs in grids:
-        w = np.array(layer.weights[:, :, ys, xs].transpose(0, 2, 3, 1, 4, 5))
+        w = np.array(layer.weights[ys, xs].transpose(2, 0, 1, 3, 4, 5))
         w = w.reshape(o, -1, c * k * k)
         bundles.append(WeightBundle(w, w.copy()))
     velocities: List[Optional[np.ndarray]] = [None] * len(grids)
@@ -586,9 +592,9 @@ def layer_sleep_run(layer: LocalLayer, config: SleepConfig, rng: RngStream):
                 # one group per grid: rows are positions, all out channels' kernels the features
                 rows.append((t, g, neg_log_snr(b.weights.transpose(1, 0, 2).reshape(b.n, -1))))
     for (ys, xs), bundle in zip(grids, bundles):
-        view = layer.weights[:, :, ys, xs]
-        back = bundle.weights.reshape(o, *view.shape[2:4], c, k, k)
-        view[...] = back.transpose(0, 3, 1, 2, 4, 5)
+        view = layer.weights[ys, xs]
+        back = bundle.weights.reshape(o, *view.shape[:2], c, k, k)
+        view[...] = back.transpose(1, 2, 0, 3, 4, 5)
     return rows
 
 

@@ -3,8 +3,8 @@ residue-class grid structure of output positions, and periodic input
 patterns that drive every neuron in one grid with identical input.
 
 Weight layouts
-    LocalLayer.weights: (out_ch, in_ch, y, x, ky, kx), a private kernel
-    per output position.
+    LocalLayer.weights: (y, x, out_ch, in_ch, ky, kx), a private kernel
+    per output position, indexed in the order it is stored.
     ConvLayer.weights: (out_ch, in_ch, ky, kx), one kernel everywhere.
 
 One forward, `local_forward`, serves both: a conv kernel runs as the LC
@@ -17,12 +17,9 @@ pattern property are exact only without a zero boundary.
 
 `local_forward` works batch-innermost: inputs (H, W, C, B), im2col
 columns (H'*W', C*k*k, B) and a position-batched matmul with the
-position-major weights (H'*W', O, C*k*k) (`position_weights`) into
-outputs (H', W', O, B). `position_weights` is a view, not a copy, of
-per-position weights held in (H', W', O, C, k, k) memory, as the trainer
-holds its LC parameters, and of a shared kernel, which enters with
-stride 0 over positions; weights in any other memory order are copied.
-It takes the output rows in blocks of about
+position-major weights (H'*W', O, C*k*k) (`position_weights`, a reshape
+of the per-position weights, or a stride-0 view of a shared kernel) into
+outputs (H', W', O, B). It takes the output rows in blocks of about
 `_BLOCK_BYTES` of columns: one strided copy from the padded plane fills
 a block and the block's matmul reads it while it is in cache. Each
 position's product is the same gemm on the same operands in the same
@@ -134,7 +131,7 @@ class LocalLayer(_Layer):
 
     @staticmethod
     def _weight_shape(o, c, h, w, k):
-        return (o, c, h, w, k, k)
+        return (h, w, o, c, k, k)
 
 
 @dataclass(eq=False)
@@ -155,28 +152,24 @@ def _check_input(layer, x) -> np.ndarray:
 
 
 def tile_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
-    """The contiguous (out, in, height, width, k, k) per-position copy of
+    """The contiguous (height, width, out, in, k, k) per-position copy of
     a shared (out, in, k, k) kernel: the LC layer tied to it."""
-    o, c, k, _ = kernel.shape
-    return np.broadcast_to(kernel[:, :, None, None], (o, c, height, width, k, k)).copy()
+    return np.broadcast_to(kernel, (height, width) + kernel.shape).copy()
 
 
 def position_weights(weights: np.ndarray, height: int, width: int) -> np.ndarray:
     """The (height*width, out, in*k*k) position-major form of per-position
-    (out, in, height, width, k, k) weights, or of the LC layer tied to a
-    shared (out, in, k, k) kernel. A view, not a copy, for weights held
-    in (height, width, out, in, k, k) memory (the trainer's LC
-    parameters) and for a C-contiguous shared kernel, which enters with
-    stride 0 over positions; other per-position layouts are copied. Every
+    (height, width, out, in, k, k) weights, or of the LC layer tied to a
+    shared (out, in, k, k) kernel, which enters with stride 0 over
+    positions. A view of C-contiguous weights, a copy of any others: every
     position's (out, in*k*k) matrix is C-contiguous either way, because
     matmul's rounding can depend on its operands' strides and a conv
     kernel must give the bits of its tied LC layer."""
-    o, c, k = weights.shape[0], weights.shape[1], weights.shape[-1]
+    o, c, k = weights.shape[-4], weights.shape[-3], weights.shape[-1]
+    flat = np.ascontiguousarray(weights).reshape(-1, o, c * k * k)
     if weights.ndim == 4:
-        flat = np.ascontiguousarray(weights).reshape(o, c * k * k)
         return np.broadcast_to(flat, (height * width, o, c * k * k))
-    flat = weights.transpose(2, 3, 0, 1, 4, 5).reshape(height * width, o, c * k * k)
-    return np.ascontiguousarray(flat)
+    return flat
 
 
 class Workspace:
@@ -251,7 +244,7 @@ def local_forward(x: np.ndarray, weights: np.ndarray, pad: int,
     (H, W, C, B): each output position applies its own kernel to its
     receptive field, as a position-batched matmul of the position-major
     weights (H'*W', O, C*k*k) with the columns (H'*W', C*k*k, B). weights
-    are per-position (O, C, H', W', k, k) or one shared (O, C, k, k)
+    are per-position (H', W', O, C, k, k) or one shared (O, C, k, k)
     kernel, which enters as the tied LC layer's weights, so a conv layer
     and the LC layer tied to its kernel multiply the same operands.
 
@@ -273,7 +266,7 @@ def local_forward(x: np.ndarray, weights: np.ndarray, pad: int,
     role = _role(key, keep_cols)
     xp = _padded_plane(ws, role, x, pad, mode)
     h, w, c, b = x.shape
-    o, k = weights.shape[0], weights.shape[-1]
+    o, k = weights.shape[-4], weights.shape[-1]
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     # windows[y, x, c, i, j, b] = xp[y + i, x + j, c, b], a strided view
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -327,10 +320,11 @@ def tie_lc_to_conv(layer: LocalLayer, kernel: np.ndarray) -> LocalLayer:
 def grid_slices(k: int) -> List[Tuple[slice, slice]]:
     """The residue classes of spatial positions mod k as k*k pairs of
     (row, column) slices: grid g = gy * k + gx holds the positions
-    {(y, x) : y = gy, x = gx (mod k)}, so `a[..., ys, xs]` is grid g's
-    strided view of an array whose last two axes are (y, x). Edge grids of
-    a plane whose sides are not multiples of k hold fewer members, and a
-    side shorter than k leaves some grids empty."""
+    {(y, x) : y = gy, x = gx (mod k)}, so `a[ys, xs]` is grid g's strided
+    view of an array whose leading two axes are (y, x), as they are in
+    per-position kernels. Edge grids of a plane whose sides are not
+    multiples of k hold fewer members, and a side shorter than k leaves
+    some grids empty."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return [(slice(gy, None, k), slice(gx, None, k)) for gy in range(k) for gx in range(k)]

@@ -12,14 +12,12 @@ agree bit for bit in loss and gradients.
 Layout: batches enter as (B, C, H, W); from the first layer to the
 global pool activations run batch-innermost, (H, W, C, B), so a layer is
 one position-batched matmul on im2col columns (H*W, C*k*k, B) and the
-elementwise steps run over contiguous memory. An LC layer's kernels keep
-the public (O, C, H, W, k, k) index order but are held in
-(H, W, O, C, k, k) memory, and so are their gradients and AdamW moments:
-`position_weights` hands the matmul the (H*W, O, C*k*k) operand as a
-view, the kernel gradient g @ colsᵀ lands in that order, and the
-optimizer's passes copy nothing. g is the transposed view of a
-contiguous (H*W, B, O) buffer, which the ReLU mask of layer 2 and the
-pool backward of layer 1 write in one pass each. The input gradient
+elementwise steps run over contiguous memory. An LC layer's kernels,
+their gradients and AdamW moments are plain (H, W, O, C, k, k) arrays:
+the matmul operand (H*W, O, C*k*k) and the kernel gradient g @ colsᵀ
+are reshapes of them. g is the transposed view of a contiguous
+(H*W, B, O) buffer, which the ReLU mask of layer 2 and the pool
+backward of layer 1 write in one pass each. The input gradient
 wᵀ @ g takes its rows in window-offset-major (i, j, c) order, from one
 permuted copy of the weights, and is formed one output row at a time and
 added onto a padded plane window offset by window offset (col2im) while
@@ -60,7 +58,7 @@ from .errors import DivergenceError
 from .mathcore import RngStream
 from .sharing import kernel_grid_neg_log_snr, share_kernel_grid_means
 from .topology import (Workspace, _plane_interior, grid_slices, kaiming_std,
-                       local_forward, position_weights, tile_kernel)
+                       local_forward, position_weights)
 
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
@@ -215,15 +213,13 @@ class TrainConfig:
 class LayerStack:
     """Two conv or LC layers, avgpool between, global pool, linear head.
 
-    LC kernels are indexed (out_ch, in_ch, y, x, ky, kx) and held in
-    (y, x, out_ch, in_ch, ky, kx) memory; conv kernels (out_ch, in_ch,
-    ky, kx). Kaiming-normal init, no biases in the feature layers.
+    LC kernels are (y, x, out_ch, in_ch, ky, kx), conv kernels (out_ch,
+    in_ch, ky, kx). Kaiming-normal init, no biases in the feature layers.
     """
 
     def __init__(self, kind: str, gen: np.random.Generator, image: int = 16,
                  in_channels: int = 1, channels: int = 8, kernel: int = 3,
-                 n_classes: int = N_SHAPE_CLASSES, grid_tied: bool = False,
-                 tie_kernels: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+                 n_classes: int = N_SHAPE_CLASSES, grid_tied: bool = False):
         if kind not in ("conv", "lc"):
             raise ValueError(f"kind must be conv or lc, got {kind}")
         if image % 2 != 0:
@@ -240,17 +236,17 @@ class LayerStack:
         if kind == "conv":
             k1 = gen.normal(0, std, size=(channels, in_channels, k, k))
             k2 = gen.normal(0, std, size=(channels, channels, k, k))
-        elif tie_kernels is not None:
-            k1 = _position_major(tile_kernel(tie_kernels[0], image, image))
-            k2 = _position_major(tile_kernel(tie_kernels[1], h2, h2))
         elif grid_tied:
             # one fresh kernel per grid, replicated across the grid's
             # positions: full Kaiming scale, already in the shared set
             k1 = self._grid_tied(gen, std, channels, in_channels, image, k)
             k2 = self._grid_tied(gen, std, channels, channels, h2, k)
         else:
-            k1 = _position_major(gen.normal(0, std, size=(channels, in_channels, image, image, k, k)))
-            k2 = _position_major(gen.normal(0, std, size=(channels, channels, h2, h2, k, k)))
+            # drawn in (O, C, H, W, k, k) order, the order every default
+            # run's numbers come from
+            k1, k2 = (np.ascontiguousarray(gen.normal(
+                0, std, size=(channels, c, side, side, k, k)).transpose(2, 3, 0, 1, 4, 5))
+                for c, side in ((in_channels, image), (channels, h2)))
         self.params: Dict[str, np.ndarray] = {
             "layer1": k1,
             "layer2": k2,
@@ -264,10 +260,9 @@ class LayerStack:
 
     @staticmethod
     def _grid_tied(gen, std, out_c, in_c, side, k) -> np.ndarray:
-        out = np.empty((side, side, out_c, in_c, k, k)).transpose(2, 3, 0, 1, 4, 5)
+        out = np.empty((side, side, out_c, in_c, k, k))
         for ys, xs in grid_slices(k):
-            block = gen.normal(0, std, size=(out_c, in_c, k, k))
-            out[:, :, ys, xs] = block[:, :, None, None, :, :]
+            out[ys, xs] = gen.normal(0, std, size=(out_c, in_c, k, k))
         return out
 
     @property
@@ -294,17 +289,15 @@ class LayerStack:
         # matmul, so every sum runs in the same order and gives the same bits
         g = grad_out.reshape(h * w, o, b)
         dk = np.matmul(g, win.transpose(0, 2, 1))             # (H*W, O, C*k*k)
-        c = dk.shape[2] // (k * k)
         if kernels.ndim == 4:
             # one kernel tied across all positions: its gradient is their sum
-            dk = dk.sum(axis=0).reshape(o, c, k, k)
-        else:
-            # position-major, as the parameter is held
-            dk = dk.reshape(h, w, o, c, k, k).transpose(2, 3, 0, 1, 4, 5)
+            dk = dk.sum(axis=0)
+        dk = dk.reshape(kernels.shape)
         if not input_grad:
             return dk, None
         # the input gradient's rows in window-offset-major (i, j, c) order:
         # each window offset's rows are then one (C, B) run per position
+        c = kernels.shape[-3]
         wt = self._workspace.buffer("window weights", (h * w, o, k * k * c))
         np.copyto(wt.reshape(h * w, o, k, k, c),
                   position_weights(kernels, h, w).reshape(h * w, o, c, k, k).transpose(0, 1, 3, 4, 2))
@@ -373,14 +366,6 @@ def _gradient_view(out: np.ndarray) -> np.ndarray:
     longer reads."""
     h, w, o, b = out.shape
     return out.reshape(h * w, b, o).transpose(0, 2, 1).reshape(h, w, o, b)
-
-
-def _position_major(kernels: np.ndarray) -> np.ndarray:
-    """Per-position (O, C, H, W, k, k) kernels copied into
-    (H, W, O, C, k, k) memory, in their (O, C, H, W, k, k) index order:
-    the transposed view that `position_weights` turns into the
-    (H*W, O, C*k*k) matmul operand without a copy."""
-    return np.ascontiguousarray(kernels.transpose(2, 3, 0, 1, 4, 5)).transpose(2, 3, 0, 1, 4, 5)
 
 
 def _scatter_windows(wt: np.ndarray, g: np.ndarray, plane: np.ndarray, pad: int) -> np.ndarray:
@@ -461,7 +446,7 @@ class AdamW:
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        # one scratch per parameter, in its memory order, for every step
+        # one scratch per parameter, for every step
         self._tmp = {k: np.empty_like(v) for k, v in params.items()}
         self.t = 0
 
@@ -469,10 +454,6 @@ class AdamW:
         self.t += 1
         out = {}
         for name, p in params.items():
-            # an LC parameter, its gradient, m and v share one
-            # position-major memory order (zeros_like and every new
-            # array below keep it), so each pass runs over contiguous
-            # memory with no copy
             g = grads[name]
             m, v = self.m[name], self.v[name]
             m *= self.beta1

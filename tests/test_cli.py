@@ -532,6 +532,9 @@ def test_module_entry_point(tmp_path):
     ["noise-floor", "--w-init-std", "-1"],
     ["noise-floor", "--input-std", "-1"],
     ["noise-floor", "--sigma=-0.1,0.2"],
+    ["fixed-point", "--gamma", ","],
+    ["sleep-ideal", "--k", ","],
+    ["compare", "--arms", ","],
 ], ids=lambda argv: " ".join(argv))
 def test_rejects_sweep_sizes_below_bound(tmp_path, argv):
     out = tmp_path / "o"
@@ -554,6 +557,7 @@ def _idx_files(tmp_path, n=20, side=8, header_only=False):
     "test-size-0", "epochs-0", "reps-not-dividing-batch",
     "arm-parameter-0", "arm-parameter-on-conv", "ws-kernel-over-half-image",
     "compare-reps-not-dividing-batch", "noise-negative", "compare-noise-negative",
+    "compare-duplicate-arm",
 ])
 def test_train_rejects_bad_input_before_work(tmp_path, case):
     images, labels = _idx_files(tmp_path, side=7 if case == "odd-idx-side" else 8,
@@ -578,6 +582,7 @@ def test_train_rejects_bad_input_before_work(tmp_path, case):
         "compare-reps-not-dividing-batch": ["--arms", "lc,lc-reps:16", "--batch-size", "50"],
         "noise-negative": ["--noise", "-1"],
         "compare-noise-negative": ["--arms", "lc", "--noise", "-1"],
+        "compare-duplicate-arm": ["--arms", "conv,lc,conv", "--epochs", "1"],
     }[case]
     sub = "compare" if case.startswith("compare") else "train"
     out = tmp_path / "o"

@@ -208,14 +208,14 @@ def test_descent_step_cap_positive():
 
 def test_share_grid_means_hand_case():
     # two positions per grid in one axis: both end at the average
-    w = np.zeros((1, 1, 6, 3, 3, 3))
+    w = np.zeros((6, 3, 1, 1, 3, 3))
     a = np.arange(9, dtype=float).reshape(3, 3)
     b = a + 10.0
     w[0, 0, 0, 0] = a
-    w[0, 0, 3, 0] = b
+    w[3, 0, 0, 0] = b
     out = ss.share_kernel_grid_means(w, 3)
     assert np.allclose(out[0, 0, 0, 0], (a + b) / 2, atol=1e-14)
-    assert np.allclose(out[0, 0, 3, 0], (a + b) / 2, atol=1e-14)
+    assert np.allclose(out[3, 0, 0, 0], (a + b) / 2, atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,17 +226,17 @@ def test_share_grid_means_idempotent_bitwise(k, h, w, o, c, seed):
     # every grid needs a member; where H or W is not a multiple of k (most
     # draws) the edge grids hold fewer members than the others
     assume(min(h, w) >= k)
-    kernels = np.random.default_rng(seed).normal(size=(o, c, h, w, k, k))
+    kernels = np.random.default_rng(seed).normal(size=(h, w, o, c, k, k))
     once = ss.share_kernel_grid_means(kernels, k)
     assert np.array_equal(ss.share_kernel_grid_means(once, k), once)
     for gy in range(k):
         for gx in range(k):
-            mean = kernels[:, :, gy::k, gx::k].mean(axis=(2, 3), keepdims=True)
-            assert np.abs(once[:, :, gy::k, gx::k] - mean).max() <= 1e-12
+            mean = kernels[gy::k, gx::k].mean(axis=(0, 1), keepdims=True)
+            assert np.abs(once[gy::k, gx::k] - mean).max() <= 1e-12
 
 
 def test_share_scale_by_group():
-    w = np.random.default_rng(9).normal(size=(1, 1, 9, 9, 3, 3))
+    w = np.random.default_rng(9).normal(size=(9, 9, 1, 1, 3, 3))
     plain = ss.share_kernel_grid_means(w, 3)
     scaled = ss.share_kernel_grid_means(w, 3, scale_by_group=True)
     assert np.allclose(scaled, plain / 9.0, atol=1e-14)
@@ -248,12 +248,21 @@ def test_instant_share_projection():
     ss.instant_share(layer)
     for gy in range(3):
         for gx in range(3):
-            manual = before[:, :, gy::3, gx::3].mean(axis=(2, 3))
-            got = layer.weights[:, :, gy, gx]
+            manual = before[gy::3, gx::3].mean(axis=(0, 1))
+            got = layer.weights[gy, gx]
             assert np.abs(manual - got).max() < 1e-13
     w_once = layer.weights.copy()
     ss.instant_share(layer)
     assert np.array_equal(w_once, layer.weights)
+
+
+@pytest.mark.parametrize("height,width", [(2, 9), (9, 2)])
+@pytest.mark.parametrize("fn", [ss.share_kernel_grid_means, ss.kernel_grid_neg_log_snr])
+def test_kernel_grid_functions_reject_plane_smaller_than_kernel(fn, height, width):
+    # a side shorter than k leaves some of the k*k grids without a member
+    kernels = np.random.default_rng(16).normal(size=(height, width, 2, 1, 3, 3))
+    with pytest.raises(ValueError, match="at least k = 3"):
+        fn(kernels, 3)
 
 
 def test_kernel_grid_neg_log_snr_sentinel_when_shared():

@@ -21,11 +21,11 @@ def test_lc_zero_input_zero_output():
 
 def test_lc_1x1_k1_is_matrix_product():
     rng = np.random.default_rng(1)
-    w = rng.normal(size=(3, 2, 1, 1, 1, 1))
+    w = rng.normal(size=(1, 1, 3, 2, 1, 1))
     layer = LocalLayer(2, 3, 1, 1, 1, w)
     x = rng.normal(size=(2, 1, 1))
     out = lc_forward(layer, x)
-    expect = w[:, :, 0, 0, 0, 0] @ x[:, 0, 0]
+    expect = w[0, 0, :, :, 0, 0] @ x[:, 0, 0]
     assert np.allclose(out[:, 0, 0], expect, atol=1e-14)
 
 
@@ -38,7 +38,7 @@ def test_lc_forward_loop_oracle():
     for o in range(2):
         for y in range(4):
             for c in range(4):
-                ref = float((layer.weights[o, 0, y, c] * xp[0, y:y + 3, c:c + 3]).sum())
+                ref = float((layer.weights[y, c, o, 0] * xp[0, y:y + 3, c:c + 3]).sum())
                 assert abs(out[o, y, c] - ref) < 1e-12
 
 
@@ -90,11 +90,11 @@ def test_tie_zero_kernel_zero_layer():
 def test_tie_perturbation_is_local():
     rng = np.random.default_rng(8)
     cv = ConvLayer.kaiming(np.random.default_rng(9), 1, 2, 6, 6, 3)
-    lc = LocalLayer(1, 2, 6, 6, 3, np.zeros((2, 1, 6, 6, 3, 3)))
+    lc = LocalLayer(1, 2, 6, 6, 3, np.zeros((6, 6, 2, 1, 3, 3)))
     tied = tie_lc_to_conv(lc, cv.weights)
     x = rng.normal(size=(1, 6, 6))
     base = lc_forward(tied, x)
-    tied.weights[1, 0, 2, 3] += rng.normal(size=(3, 3))
+    tied.weights[2, 3, 1, 0] += rng.normal(size=(3, 3))
     bumped = lc_forward(tied, x)
     diff = bumped - base
     mask = np.zeros_like(diff, dtype=bool)
@@ -104,7 +104,7 @@ def test_tie_perturbation_is_local():
 
 
 def test_tie_shape_error():
-    lc = LocalLayer(1, 2, 4, 4, 3, np.zeros((2, 1, 4, 4, 3, 3)))
+    lc = LocalLayer(1, 2, 4, 4, 3, np.zeros((4, 4, 2, 1, 3, 3)))
     with pytest.raises(ShapeError):
         tie_lc_to_conv(lc, np.zeros((2, 1, 5, 5)))
 
@@ -202,7 +202,7 @@ def test_receptive_field_matches_forward():
     x = rng.normal(size=(2, 5, 5))
     patch = receptive_field(layer, x, 2, 3)
     out = lc_forward(layer, x)
-    assert abs(float((layer.weights[0, :, 2, 3] * patch).sum()) - out[0, 2, 3]) < 1e-12
+    assert abs(float((layer.weights[2, 3, 0] * patch).sum()) - out[0, 2, 3]) < 1e-12
 
 
 def test_kaiming_std_value():
@@ -216,9 +216,9 @@ def test_padded_windows_mode_error():
 
 def test_layer_shape_validation():
     with pytest.raises(ShapeError):
-        LocalLayer(1, 1, 4, 4, 3, np.zeros((1, 1, 4, 4, 5, 5)))
+        LocalLayer(1, 1, 4, 4, 3, np.zeros((4, 4, 1, 1, 5, 5)))
     with pytest.raises(ValueError):
-        LocalLayer(1, 1, 4, 4, 2, np.zeros((1, 1, 4, 4, 2, 2)))  # even kernel
+        LocalLayer(1, 1, 4, 4, 2, np.zeros((4, 4, 1, 1, 2, 2)))  # even kernel
 
 
 @pytest.mark.parametrize("cls", [LocalLayer, ConvLayer])

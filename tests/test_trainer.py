@@ -233,8 +233,7 @@ def test_gradients_match_finite_differences(kind):
     check_gen = np.random.default_rng(12)
     for name, p in stack.params.items():
         for idx in check_gen.choice(p.size, size=min(4, p.size), replace=False):
-            # perturb the parameter itself: reshape(-1) of one that is not
-            # C-contiguous (an LC layer's position-major memory) is a copy
+            # perturb the parameter itself, never a copy of it
             pos = np.unravel_index(idx, p.shape)
             old = p[pos]
             p[pos] = old + eps
@@ -289,7 +288,7 @@ def test_optimizer_steps_match_out_of_place_updates():
     # expressions, so 20 steps (with a grid projection of the state
     # between) agree bit for bit
     gen = np.random.default_rng(18)
-    shapes = {"layer1": (2, 1, 6, 6, 3, 3), "head_w": (2, 4)}
+    shapes = {"layer1": (6, 6, 2, 1, 3, 3), "head_w": (2, 4)}
     params = {n: gen.normal(size=s) for n, s in shapes.items()}
     b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.01, 0.01
     opt = AdamW(params, lr, weight_decay=wd)
@@ -297,9 +296,7 @@ def test_optimizer_steps_match_out_of_place_updates():
     v = {n: np.zeros(s) for n, s in shapes.items()}
     p, want = params, dict(params)
     for t in range(1, 21):
-        # position-major LC gradients, as backward hands them over
-        grads = {"layer1": gen.normal(size=(6, 6, 2, 1, 3, 3)).transpose(2, 3, 0, 1, 4, 5),
-                 "head_w": gen.normal(size=(2, 4))}
+        grads = {n: gen.normal(size=s) for n, s in shapes.items()}
         p = opt.step(p, grads)
         for n, g in grads.items():
             m[n] = b1 * m[n] + (1 - b1) * g
@@ -316,7 +313,7 @@ def test_optimizer_steps_match_out_of_place_updates():
 
 def test_optimizer_share_state_projects_to_grids():
     gen = np.random.default_rng(14)
-    shape = (2, 1, 6, 6, 3, 3)
+    shape = (6, 6, 2, 1, 3, 3)
     opt = AdamW({"layer1": gen.normal(size=shape)}, lr=0.1)
     opt.m["layer1"] = gen.normal(size=shape)
     opt.v["layer1"] = gen.normal(size=shape) ** 2
@@ -394,8 +391,9 @@ def test_tied_lc_forward_matches_conv(batch, in_ch, channels, kernel, image, see
     conv = LayerStack("conv", gen, image=image, in_channels=in_ch, channels=channels,
                       kernel=kernel)
     tied = LayerStack("lc", np.random.default_rng(0), image=image, in_channels=in_ch,
-                      channels=channels, kernel=kernel,
-                      tie_kernels=(conv.params["layer1"], conv.params["layer2"]))
+                      channels=channels, kernel=kernel)
+    tied.params["layer1"] = tile_kernel(conv.params["layer1"], image, image)
+    tied.params["layer2"] = tile_kernel(conv.params["layer2"], image // 2, image // 2)
     tied.params["head_w"] = conv.params["head_w"].copy()
     tied.params["head_b"] = conv.params["head_b"].copy()
     x = gen.normal(size=(batch, in_ch, image, image))
@@ -405,7 +403,7 @@ def test_tied_lc_forward_matches_conv(batch, in_ch, channels, kernel, image, see
     conv_loss, conv_grads = forward_backward(conv, x, labels)
     assert lc_loss == conv_loss
     for name in ("layer1", "layer2"):
-        assert np.array_equal(lc_grads[name].sum(axis=(2, 3)), conv_grads[name])
+        assert np.array_equal(lc_grads[name].sum(axis=(0, 1)), conv_grads[name])
     for name in ("head_w", "head_b"):
         assert np.array_equal(lc_grads[name], conv_grads[name])
 
@@ -415,11 +413,18 @@ def test_tied_lc_forward_matches_conv(batch, in_ch, channels, kernel, image, see
 # strided scatter of the window gradients.
 
 
+def _old_order(kernels):
+    """Per-position (H, W, O, C, k, k) kernels seen in the oracle's
+    (O, C, H, W, k, k) index order, over the same memory; the transpose
+    is its own inverse, so it hands the oracle's gradients back too."""
+    return kernels.transpose(2, 3, 0, 1, 4, 5)
+
+
 def _oracle_layer_forward(x, kernels, pad):
     win = padded_windows(x, kernels.shape[-1], pad)
     if kernels.ndim == 4:
         kernels = tile_kernel(kernels, win.shape[2], win.shape[3])
-    return np.einsum("bchwij,ochwij->bohw", win, kernels, optimize=True), win
+    return np.einsum("bchwij,ochwij->bohw", win, _old_order(kernels), optimize=True), win
 
 
 def _oracle_scatter_windows(contrib, x_shape, pad):
@@ -437,9 +442,8 @@ def _oracle_layer_backward(grad_out, win, kernels, x_shape, pad):
     if shared:
         kernels = tile_kernel(kernels, *grad_out.shape[2:])
     dk = np.einsum("bchwij,bohw->ochwij", win, grad_out, optimize=True)
-    contrib = np.einsum("bohw,ochwij->bchwij", grad_out, kernels, optimize=True)
-    if shared:
-        dk = dk.sum(axis=(2, 3))
+    contrib = np.einsum("bohw,ochwij->bchwij", grad_out, _old_order(kernels), optimize=True)
+    dk = dk.sum(axis=(2, 3)) if shared else _old_order(dk)
     return dk, _oracle_scatter_windows(contrib, x_shape, pad)
 
 
@@ -578,9 +582,8 @@ def test_backward_twice_gives_equal_gradients(kind):
 
 
 def _is_position_major(a):
-    """True when an (O, C, H, W, k, k) array is held in contiguous
-    (H, W, O, C, k, k) memory."""
-    return a.ndim == 6 and a.transpose(2, 3, 0, 1, 4, 5).flags.c_contiguous
+    """True for a C-contiguous per-position (H, W, O, C, k, k) array."""
+    return a.ndim == 6 and a.flags.c_contiguous
 
 
 def test_lc_training_keeps_position_major_memory():
@@ -609,12 +612,17 @@ def test_lc_training_keeps_position_major_memory():
 @pytest.mark.parametrize("tied", [False, True])
 def test_position_weights_of_lc_parameters_are_views(tied):
     conv = LayerStack("conv", np.random.default_rng(27), image=8, channels=3)
-    tie = (conv.params["layer1"], conv.params["layer2"]) if tied else None
-    stack = LayerStack("lc", np.random.default_rng(28), image=8, channels=3,
-                       tie_kernels=tie)
+    stack = LayerStack("lc", np.random.default_rng(28), image=8, channels=3)
     for name, side in (("layer1", 8), ("layer2", 4)):
+        if tied:
+            stack.params[name] = tile_kernel(conv.params[name], side, side)
         p = stack.params[name]
         assert np.shares_memory(topology.position_weights(p, side, side), p), name
+    # the weights of a LocalLayer and the LC layer tied to a conv kernel
+    layer = topology.LocalLayer.kaiming(np.random.default_rng(29), 2, 3, 5, 5, 3)
+    tiled = tile_kernel(conv.params["layer2"], 5, 5)
+    for p in (layer.weights, tiled):
+        assert np.shares_memory(topology.position_weights(p, 5, 5), p)
 
 
 def test_backward_on_stale_cache_raises():
