@@ -16,14 +16,7 @@ equivariance of conv still wins.
 from sleepshare.trainer import run_experiment
 
 for arm in ("conv", "lc", "lc-reps:4", "lc-ws:1"):
-    name, _, param = arm.partition(":")
-    kwargs = dict(train_size=256, test_size=512, epochs=30, channels=4, lr=3e-2)
-    if param:
-        if name == "lc-reps":
-            kwargs["reps"] = int(param)
-        else:
-            kwargs["ws_every"] = int(param)
-    h = run_experiment(name, 0, **kwargs)
+    h = run_experiment(arm, 0, train_size=256, test_size=512, epochs=30, channels=4, lr=3e-2)
     print(f"{arm:10s} final test accuracy {h.final_test_accuracy:.3f}")
 
 print()

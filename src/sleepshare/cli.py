@@ -56,6 +56,14 @@ def _nonneg(s) -> float:
     return v
 
 
+def _positive(s) -> float:
+    """A finite value > 0: a schedule's b or a learning rate."""
+    v = _finite(s)
+    if not v > 0:
+        raise ValueError(f"must be > 0, got {s!r}")
+    return v
+
+
 def _positive_or_inf(s) -> float:
     """A value > 0, +inf included (alpha: the idealized limit)."""
     v = float(s)
@@ -100,16 +108,6 @@ def _choice(*options):
     return parse
 
 
-def _bool(s):
-    if isinstance(s, bool):
-        return s
-    if str(s).lower() in ("1", "true", "yes"):
-        return True
-    if str(s).lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 COMMON_SPEC = {
     "seed": (int, 0),
     "jobs": (_int_min(1), 1),
@@ -124,7 +122,7 @@ SLEEP_IDEAL_SPEC = {
     "seeds": (_int_min(1), 10),
     "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
     "eta_a": (_finite, 0.5),
-    "eta_b": (_finite, 1000.0),
+    "eta_b": (_positive, 1000.0),
     "warmup": (_int_min(0), 0),
     "momentum": (_finite, 0.95),
     "input_mean": (_finite, 1.0),
@@ -152,7 +150,7 @@ SLEEP_RATE_SPEC = {
     "bias": (_finite, 1.0),
     "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
     "eta_a": (_finite, 3e-4),
-    "eta_b": (_finite, 2.0),
+    "eta_b": (_positive, 2.0),
     "warmup": (_int_min(0), 50),
 }
 
@@ -176,10 +174,10 @@ NOISE_FLOOR_SPEC = {
     "sigma": (_list_of(_nonneg), [0.1, 0.2, 0.4]),
     "seeds": (_int_min(1), 10),
     "a": (_finite, 16.0),
-    "b": (_finite, 200.0),
+    "b": (_positive, 200.0),
     "iters": (_int_min(1), 300),
     "slope_a": (_finite, 0.034),
-    "slope_b": (_finite, 50.0),
+    "slope_b": (_positive, 50.0),
     # the log-log fit needs two points: sharing.loglog_slope's window
     "slope_iters": (_int_min(3), 3000),
     "w_init_mean": (_finite, 0.0),
@@ -200,10 +198,8 @@ TRAIN_SPEC = {
     "kernel": (_int_min(1, step=2), 3),
     "epochs": (_int_min(1), 60),
     "batch_size": (_int_min(1), 64),
-    "lr": (_finite, 3e-3),
-    "weight_decay": (_finite, 1e-4),
-    "reps": (_int_min(1), 16),
-    "ws_every": (_int_min(0), 1),
+    "lr": (_positive, 3e-3),
+    "weight_decay": (_nonneg, 1e-4),
     "pad": (_int_min(0), 4),
     "idx_images": (str, ""),
     "idx_labels": (str, ""),
@@ -213,7 +209,6 @@ COMPARE_SPEC = {
     **TRAIN_SPEC,
     "arms": (_str_list, ["conv", "lc", "lc-reps:16", "lc-ws:1"]),
     "seeds": (_int_min(1), 3),
-    "full": (_bool, False),
 }
 COMPARE_SPEC.pop("arm")
 
@@ -225,9 +220,6 @@ SPECS = {
     "train": TRAIN_SPEC,
     "compare": COMPARE_SPEC,
 }
-
-FULL_MATRIX = ["conv", "lc", "lc-reps:4", "lc-reps:8", "lc-reps:16",
-               "lc-ws:1", "lc-ws:10", "lc-ws:100"]
 
 
 def _parse_kv_file(path: str) -> Dict[str, str]:
@@ -613,24 +605,6 @@ def _history_files(prefix: str, history: trainer.TrainHistory) -> List[Tuple[str
     ]
 
 
-def _parse_arm(spec: str) -> Tuple[str, int]:
-    if ":" in spec:
-        arm, param = spec.split(":", 1)
-        try:
-            value = int(param)
-        except ValueError:
-            raise UsageError(f"bad arm parameter in {spec!r}")
-        if value < 1:
-            raise UsageError(f"arm parameter in {spec!r} must be >= 1")
-    else:
-        arm, value = spec, 0
-    if arm not in ("conv", "lc", "lc-reps", "lc-ws"):
-        raise UsageError(f"unknown arm {arm!r}")
-    if value and arm in ("conv", "lc"):
-        raise UsageError(f"arm {arm!r} takes no parameter, got {spec!r}")
-    return arm, value
-
-
 def _idx_image_side(cfg) -> int:
     """The image side a training run will see: the IDX images' side,
     read and checked here so that a bad pair fails before any run, or
@@ -653,31 +627,33 @@ def _idx_image_side(cfg) -> int:
     return h
 
 
-def _arm_kwargs(cfg, arm_spec: str, image: int) -> Tuple[str, Dict[str, object]]:
-    """`trainer.run_experiment`'s arm and keywords for one arm spec,
+def _arm_kwargs(cfg, arm_spec: str, image: int) -> Dict[str, object]:
+    """`trainer.run_experiment`'s keywords for one arm spec, the spec
     checked against the batch and layer sizes before any run starts."""
-    arm, param = _parse_arm(arm_spec)
-    reps = param or cfg["reps"]
-    if arm == "lc-reps" and cfg["batch_size"] % reps:
-        raise UsageError(f"{arm_spec}: reps ({reps}) must divide the batch size "
+    try:
+        arm, param = trainer.parse_arm(arm_spec)
+    except ValueError as e:
+        raise UsageError(str(e))
+    if arm == "lc-reps" and cfg["batch_size"] % param:
+        raise UsageError(f"{arm_spec}: reps ({param}) must divide the batch size "
                          f"({cfg['batch_size']})")
     if arm == "lc-ws" and cfg["kernel"] > image // 2:
         # every one of layer 2's k*k sharing grids needs a position
         raise UsageError(f"{arm_spec}: kernel ({cfg['kernel']}) must be <= half the "
                          f"image side ({image})")
-    return arm, dict(
+    return dict(
         train_size=cfg["train_size"], test_size=cfg["test_size"],
         image=cfg["image"], noise=cfg["noise"], channels=cfg["channels"],
         kernel=cfg["kernel"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
         lr=cfg["lr"], weight_decay=cfg["weight_decay"],
         idx_images=cfg["idx_images"] or None, idx_labels=cfg["idx_labels"] or None,
-        reps=reps, ws_every=param or cfg["ws_every"], pad=cfg["pad"],
+        pad=cfg["pad"],
     )
 
 
 def cmd_train(cfg, out: RunDir) -> int:
-    arm, kwargs = _arm_kwargs(cfg, cfg["arm"], _idx_image_side(cfg))
-    history = trainer.run_experiment(arm, cfg["seed"], **kwargs)
+    kwargs = _arm_kwargs(cfg, cfg["arm"], _idx_image_side(cfg))
+    history = trainer.run_experiment(cfg["arm"], cfg["seed"], **kwargs)
     _write_files(out, _history_files("", history))
     print(f"{cfg['arm']} seed {cfg['seed']}: final test accuracy "
           f"{history.final_test_accuracy:.3f}")
@@ -685,7 +661,7 @@ def cmd_train(cfg, out: RunDir) -> int:
 
 
 def cmd_compare(cfg, out: RunDir) -> int:
-    arms = FULL_MATRIX if cfg["full"] else cfg["arms"]
+    arms = cfg["arms"]
     if len(set(arms)) < len(arms):
         # a second run of an arm would overwrite the first one's files
         # and weigh twice in its mean
@@ -696,8 +672,7 @@ def cmd_compare(cfg, out: RunDir) -> int:
 
     def run(cell):
         arm_spec, s = cell
-        arm, kwargs = runs[arm_spec]
-        history = trainer.run_experiment(arm, cfg["seed"] + s, **kwargs)
+        history = trainer.run_experiment(arm_spec, cfg["seed"] + s, **runs[arm_spec])
         tag = arm_spec.replace(":", "")
         return history.final_test_accuracy, _history_files(f"{tag}_s{s}_", history)
 

@@ -244,8 +244,8 @@ class WeightBundle:
 class Schedule:
     """Learning-rate schedule eta_k, declarative so runs can echo it.
 
-    kinds: "constant" (a), "inverse_time" (a / (b + k)),
-    "inverse_sqrt" (a / sqrt(1 + k / b), zero before warmup).
+    kinds: "constant" (a), "inverse_time" (a / (b + k)), "inverse_sqrt"
+    (a / sqrt(1 + k / b)), these two with b > 0; each is 0 before warmup.
     """
 
     KINDS = ("constant", "inverse_time", "inverse_sqrt")
@@ -258,6 +258,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.kind != "constant" and not self.b > 0:
+            raise ValueError(f"schedule {self.kind} needs b > 0, got {self.b}")
         # Python floats, so step sizes are too: a numpy scalar would make
         # an overflowing decay power in rate_sleep_run a silent inf, not
         # the OverflowError it reports
@@ -265,12 +267,12 @@ class Schedule:
         object.__setattr__(self, "b", float(self.b))
 
     def __call__(self, k: int) -> float:
+        if k < self.warmup:
+            return 0.0
         if self.kind == "constant":
             return self.a
         if self.kind == "inverse_time":
             return self.a / (self.b + k)
-        if k < self.warmup:
-            return 0.0
         return self.a / math.sqrt(1.0 + k / self.b)
 
 

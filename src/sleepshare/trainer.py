@@ -63,7 +63,7 @@ from .topology import (Workspace, _plane_interior, grid_slices, kaiming_std,
 __all__ = [
     "Dataset", "TrainConfig", "LayerStack", "TrainHistory",
     "shape_masks", "augment_translate", "forward_backward", "AdamW",
-    "train", "run_experiment", "read_idx", "read_idx_pair", "load_idx_pair",
+    "train", "parse_arm", "run_experiment", "read_idx", "read_idx_pair", "load_idx_pair",
 ]
 
 
@@ -570,18 +570,34 @@ def _train(stack, data, test, config, gen) -> TrainHistory:
     return history
 
 
-def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int = 2048,
+# each arm and its bare spec's parameter; conv and lc take none (0)
+ARM_PARAMS = {"conv": 0, "lc": 0, "lc-reps": 16, "lc-ws": 1}
+
+
+def parse_arm(spec: str) -> Tuple[str, int]:
+    """An arm spec's arm and parameter: "conv", "lc", "lc-reps[:R]" (R
+    translated copies of each image per batch) or "lc-ws[:N]" (grid
+    sharing every N batches, grid-tied init), R and N integers >= 1; a
+    bare spec takes ARM_PARAMS. Any other spec raises ValueError."""
+    arm, colon, param = spec.partition(":")
+    value = ARM_PARAMS.get(arm)
+    if colon and value:
+        value = int(param) if param.isdecimal() else 0
+    if value is None or (colon and not value):
+        raise ValueError(f"bad arm spec {spec!r}: not conv, lc, lc-reps[:R] or "
+                         "lc-ws[:N] with R, N >= 1")
+    return arm, value
+
+
+def run_experiment(arm_spec: str, seed: int, *, train_size: int = 512, test_size: int = 2048,
                    image: int = 16, noise: float = 0.15, channels: int = 8,
                    kernel: int = 3, epochs: int = 60, batch_size: int = 64,
-                   lr: float = 3e-3, weight_decay: float = 1e-4, reps: int = 16,
-                   ws_every: int = 1, pad: int = 4,
+                   lr: float = 3e-3, weight_decay: float = 1e-4, pad: int = 4,
                    idx_images: Optional[str] = None,
                    idx_labels: Optional[str] = None) -> TrainHistory:
-    """One arm end to end. Arms: "conv", "lc", "lc-reps" (translation
-    repetitions inside fixed-size batches), "lc-ws" (scheduled sharing,
-    grid-tied init)."""
-    if arm not in ("conv", "lc", "lc-reps", "lc-ws"):
-        raise ValueError(f"unknown arm {arm!r}")
+    """One arm end to end, for an arm spec `parse_arm` reads; pad is the
+    lc-reps translation range."""
+    arm, param = parse_arm(arm_spec)
     gen = RngStream(seed, (21,)).generator()
     if idx_images:
         full = load_idx_pair(idx_images, idx_labels)
@@ -598,9 +614,9 @@ def run_experiment(arm: str, seed: int, *, train_size: int = 512, test_size: int
     config = TrainConfig(
         lr=lr, weight_decay=weight_decay,
         batch_size=batch_size, epochs=epochs,
-        reps=reps if arm == "lc-reps" else 1,
+        reps=param if arm == "lc-reps" else 1,
         pad=pad if arm == "lc-reps" else 0,
-        ws_every_n=ws_every if arm == "lc-ws" else 0,
+        ws_every_n=param if arm == "lc-ws" else 0,
     )
     stack = LayerStack(kind, gen, image=image, channels=channels, kernel=kernel,
                        n_classes=n_classes, grid_tied=(arm == "lc-ws"))

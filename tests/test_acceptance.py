@@ -220,7 +220,7 @@ def test_sharing_cadence_lr_monotonicity():
     lrs = [5e-4, 5e-3, 5e-2]
     pre = {}
     for lr in lrs:
-        h = run_experiment("lc-ws", 0, ws_every=10, epochs=5, lr=lr)
+        h = run_experiment("lc-ws:10", 0, epochs=5, lr=lr)
         for nb, layer, p, _ in h.events:
             pre[(nb, layer, lr)] = p
     keys = sorted({(nb, layer) for nb, layer, _ in pre})

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sleepshare import cli
+from sleepshare import cli, trainer
 from sleepshare.errors import DivergenceError, SingularMatrixError, ToleranceError
 
 
@@ -200,7 +201,11 @@ def test_rejects_unknown_choice(tmp_path, sub, flag):
     ["sleep-rate", *SMALL_SLEEP, "--sigma", "0.1"],
     ["train", *TINY_TRAIN, "--optimizer", "sgd"],
     ["train", *TINY_TRAIN, "--val-fraction", "0.25"],
-], ids=["mode-discrete", "momentum", "sigma", "optimizer", "val-fraction"])
+    ["train", *TINY_TRAIN, "--arm", "lc-reps:16", "--reps", "2"],
+    ["train", *TINY_TRAIN, "--arm", "lc-ws", "--ws-every", "0"],
+    ["compare", *TINY_TRAIN, "--arms", "conv", "--full", "1"],
+], ids=["mode-discrete", "momentum", "sigma", "optimizer", "val-fraction",
+        "reps", "ws-every", "full"])
 def test_deleted_settings_exit_2_before_work(tmp_path, argv):
     out = tmp_path / "o"
     assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
@@ -223,11 +228,16 @@ def test_replay_refuses_the_deleted_reset_rates_key(tmp_path):
     ("sleep-rate", "cfg.mode=discrete"),
     ("train", "cfg.optimizer=adamw"),
     ("train", "cfg.val_fraction=0.0"),
-], ids=["momentum", "sigma", "mode-discrete", "optimizer", "val_fraction"])
+    ("train", "cfg.reps=16"),
+    ("train", "cfg.ws_every=1"),
+    ("compare", "cfg.full=False"),
+], ids=["momentum", "sigma", "mode-discrete", "optimizer", "val_fraction",
+        "reps", "ws_every", "full"])
 def test_replay_refuses_deleted_keys(tmp_path, sub, line):
     # a manifest written while the setting existed records it
     out = tmp_path / "o"
-    size = [*SMALL_SLEEP, "--iters", "2"] if sub == "sleep-rate" else TINY_TRAIN
+    size = {"sleep-rate": [*SMALL_SLEEP, "--iters", "2"], "train": TINY_TRAIN,
+            "compare": [*TINY_TRAIN, "--arms", "conv", "--seeds", "1"]}[sub]
     assert run(sub, *size, "--out", str(out)) == 0
     old = tmp_path / "old_manifest.txt"
     old.write_text((out / "manifest.txt").read_text() + line + "\n")
@@ -535,6 +545,12 @@ def test_module_entry_point(tmp_path):
     ["fixed-point", "--gamma", ","],
     ["sleep-ideal", "--k", ","],
     ["compare", "--arms", ","],
+    ["sleep-ideal", "--eta-b", "0"],
+    ["sleep-ideal", "--eta-b", "-2.5"],
+    ["sleep-ideal", "--schedule", "inverse_sqrt", "--eta-b", "-2"],
+    ["sleep-rate", "--iters", "60", "--eta-b", "-2"],
+    ["noise-floor", "--b", "0"],
+    ["noise-floor", "--slope-b", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejects_sweep_sizes_below_bound(tmp_path, argv):
     out = tmp_path / "o"
@@ -557,7 +573,8 @@ def _idx_files(tmp_path, n=20, side=8, header_only=False):
     "test-size-0", "epochs-0", "reps-not-dividing-batch",
     "arm-parameter-0", "arm-parameter-on-conv", "ws-kernel-over-half-image",
     "compare-reps-not-dividing-batch", "noise-negative", "compare-noise-negative",
-    "compare-duplicate-arm",
+    "compare-duplicate-arm", "lr-0", "lr-negative", "weight-decay-negative",
+    "compare-lr-negative",
 ])
 def test_train_rejects_bad_input_before_work(tmp_path, case):
     images, labels = _idx_files(tmp_path, side=7 if case == "odd-idx-side" else 8,
@@ -583,11 +600,22 @@ def test_train_rejects_bad_input_before_work(tmp_path, case):
         "noise-negative": ["--noise", "-1"],
         "compare-noise-negative": ["--arms", "lc", "--noise", "-1"],
         "compare-duplicate-arm": ["--arms", "conv,lc,conv", "--epochs", "1"],
+        "lr-0": ["--lr", "0"],
+        "lr-negative": ["--lr", "-1"],
+        "weight-decay-negative": ["--weight-decay", "-5"],
+        "compare-lr-negative": ["--arms", "lc", "--lr", "-1"],
     }[case]
     sub = "compare" if case.startswith("compare") else "train"
     out = tmp_path / "o"
     assert run(sub, *argv, "--out", str(out)) == cli.EXIT_USAGE
     assert not out.exists()
+
+
+def test_arm_kwargs_are_run_experiment_keywords():
+    cfg = cli.resolve_config("train", {}, None, None)
+    params = inspect.signature(trainer.run_experiment).parameters.values()
+    assert set(cli._arm_kwargs(cfg, "lc", cfg["image"])) == {
+        p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def test_train_reads_an_idx_pair(tmp_path):

@@ -89,6 +89,23 @@ def test_schedules():
         ss.Schedule("linear", 1.0)(0)
 
 
+@pytest.mark.parametrize("kind", ss.Schedule.KINDS)
+def test_schedule_warmup_holds_for_every_kind(kind):
+    sched = ss.Schedule(kind, 0.5, 10.0, warmup=5)
+    plain = ss.Schedule(kind, 0.5, 10.0)
+    assert [sched(k) for k in range(5)] == [0.0] * 5
+    assert [sched(k) for k in range(5, 20)] == [plain(k) for k in range(5, 20)]
+
+
+@pytest.mark.parametrize("kind", ["inverse_time", "inverse_sqrt"])
+@pytest.mark.parametrize("b", [0.0, -2.0])
+def test_inverse_schedules_refuse_nonpositive_b(kind, b):
+    with pytest.raises(ValueError, match="b > 0"):
+        ss.Schedule(kind, 0.5, b)
+    # constant reads no b
+    assert ss.Schedule("constant", 0.5, b)(3) == 0.5
+
+
 def test_sleep_step_preserves_group_mean():
     rng = np.random.default_rng(0)
     w = rng.normal(1, 1, (20, 9))

@@ -12,7 +12,7 @@ from sleepshare.errors import DivergenceError
 from sleepshare.mathcore import RngStream
 from sleepshare.trainer import (AdamW, Dataset, LayerStack, TrainConfig, _assemble,
                                 _evaluate, augment_translate, forward_backward,
-                                read_idx, load_idx_pair,
+                                read_idx, load_idx_pair, parse_arm,
                                 run_experiment, shape_masks,
                                 softmax_cross_entropy, train)
 from sleepshare.topology import padded_windows, tile_kernel
@@ -335,6 +335,22 @@ def test_run_experiment_rejects_unknown_arm():
         run_experiment("dense", 0)
 
 
+@pytest.mark.parametrize("spec,expect", [
+    ("conv", ("conv", 0)), ("lc", ("lc", 0)),
+    ("lc-reps", ("lc-reps", 16)), ("lc-ws", ("lc-ws", 1)),
+    ("lc-reps:4", ("lc-reps", 4)), ("lc-ws:10", ("lc-ws", 10)),
+])
+def test_parse_arm(spec, expect):
+    assert parse_arm(spec) == expect
+
+
+@pytest.mark.parametrize("spec", ["conv:1", "lc:16", "lc-ws:0", "lc-reps:-2", "lc-reps:x",
+                                  "lc-ws:", "dense", "dense:1", ""])
+def test_parse_arm_refuses(spec):
+    with pytest.raises(ValueError, match="arm"):
+        parse_arm(spec)
+
+
 SMALL = dict(train_size=32, test_size=16, image=8, channels=2, epochs=2,
              batch_size=16, lr=3e-3)
 
@@ -347,20 +363,20 @@ def test_run_experiment_deterministic():
 
 
 def test_conv_ignores_sharing_and_reps_flags():
-    base = run_experiment("conv", 0, **SMALL)
-    flagged = run_experiment("conv", 0, ws_every=1, reps=16, pad=4, **SMALL)
+    base = run_experiment("conv", 0, pad=0, **SMALL)
+    flagged = run_experiment("conv", 0, pad=4, **SMALL)
     assert base.metrics == flagged.metrics
     assert flagged.events == []
 
 
 def test_lc_ignores_reps_flag():
-    base = run_experiment("lc", 0, **SMALL)
-    flagged = run_experiment("lc", 0, reps=16, pad=4, **SMALL)
+    base = run_experiment("lc", 0, pad=0, **SMALL)
+    flagged = run_experiment("lc", 0, pad=4, **SMALL)
     assert base.metrics == flagged.metrics
 
 
 def test_ws_arm_events_and_sentinel():
-    h = run_experiment("lc-ws", 0, ws_every=1, **SMALL)
+    h = run_experiment("lc-ws:1", 0, **SMALL)
     assert h.events, "sharing events missing"
     names = {e[1] for e in h.events}
     assert names == {"layer1", "layer2"}
