@@ -57,10 +57,19 @@ def _nonneg(s) -> float:
 
 
 def _positive(s) -> float:
-    """A finite value > 0: a schedule's b or a learning rate."""
+    """A finite value > 0: a schedule's a or b, a learning rate, a
+    tolerance or a decay strength."""
     v = _finite(s)
     if not v > 0:
         raise ValueError(f"must be > 0, got {s!r}")
+    return v
+
+
+def _momentum(s) -> float:
+    """A finite value in [0, 1): a heavy-ball velocity that decays."""
+    v = _finite(s)
+    if not 0 <= v < 1:
+        raise ValueError(f"must be in [0, 1), got {s!r}")
     return v
 
 
@@ -121,10 +130,10 @@ SLEEP_IDEAL_SPEC = {
     "iters": (_int_min(0), 2000),
     "seeds": (_int_min(1), 10),
     "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
-    "eta_a": (_finite, 0.5),
+    "eta_a": (_positive, 0.5),
     "eta_b": (_positive, 1000.0),
     "warmup": (_int_min(0), 0),
-    "momentum": (_finite, 0.95),
+    "momentum": (_momentum, 0.95),
     "input_mean": (_finite, 1.0),
     "input_std": (_nonneg, 1.0),
     "init_mean": (_finite, 1.0),
@@ -149,7 +158,7 @@ SLEEP_RATE_SPEC = {
     "rate_const": (_finite, 2.0),
     "bias": (_finite, 1.0),
     "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
-    "eta_a": (_finite, 3e-4),
+    "eta_a": (_positive, 3e-4),
     "eta_b": (_positive, 2.0),
     "warmup": (_int_min(0), 50),
 }
@@ -162,7 +171,7 @@ FIXED_POINT_SPEC = {
     "m_factor": (_int_min(1), 2),
     "gamma": (_float_list, [1e-1, 1e-3]),
     "alpha": (_positive_or_inf, 10.0),
-    "tol": (_finite, 1e-4),
+    "tol": (_positive, 1e-4),
 }
 
 NOISE_FLOOR_SPEC = {
@@ -170,13 +179,13 @@ NOISE_FLOOR_SPEC = {
     "n": (_int_min(2), 20),
     "d": (_int_min(1), 9),
     "m": (_int_min(1), 18),
-    "gamma": (_finite, 10.0),
+    "gamma": (_positive, 10.0),
     "sigma": (_list_of(_nonneg), [0.1, 0.2, 0.4]),
     "seeds": (_int_min(1), 10),
-    "a": (_finite, 16.0),
+    "a": (_positive, 16.0),
     "b": (_positive, 200.0),
     "iters": (_int_min(1), 300),
-    "slope_a": (_finite, 0.034),
+    "slope_a": (_positive, 0.034),
     "slope_b": (_positive, 50.0),
     # the log-log fit needs two points: sharing.loglog_slope's window
     "slope_iters": (_int_min(3), 3000),
@@ -662,12 +671,12 @@ def cmd_train(cfg, out: RunDir) -> int:
 
 def cmd_compare(cfg, out: RunDir) -> int:
     arms = cfg["arms"]
-    if len(set(arms)) < len(arms):
-        # a second run of an arm would overwrite the first one's files
-        # and weigh twice in its mean
-        raise UsageError(f"--arms names an arm more than once: {','.join(arms)}")
     image = _idx_image_side(cfg)
     runs = {a: _arm_kwargs(cfg, a, image) for a in arms}
+    if len({trainer.parse_arm(a) for a in arms}) < len(arms):
+        # a second run of an arm, under any spelling, would train it twice
+        # and weigh it twice in the means
+        raise UsageError(f"--arms names an arm more than once: {','.join(arms)}")
     cells = [(a, s) for a in arms for s in range(cfg["seeds"])]
 
     def run(cell):

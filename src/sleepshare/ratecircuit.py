@@ -21,34 +21,57 @@ Plasticity modes:
 `rate_sleep_run` does not loop over the Euler steps. Within one
 presentation the input x and the step size eta are fixed, so the Euler
 recurrence on (rates, inhibitory rate, weights) is affine and splits
-exactly, with x_hat = x/|x|, a_i = (w_i - w0_i) . x_hat and
+exactly, with x_hat = x/|x|, u_i = w_i - w0_i, a_i = u_i . x_hat and
 z0_i = w0_i . x, into
 
     a 5x5 mean mode on (mean r, mean a, r_inh, mean z0, 1),
     a 3x3 deviation mode on (r_i - mean r, a_i - mean a, z0_i - mean z0)
         shared by all neurons,
-    a scalar decay (1 - eta*gain*gamma)^T of the part of w_i - w0_i
+    a scalar decay dec = (1 - eta*gain*gamma)^T of the part of u_i
         orthogonal to x_hat,
 
-so T Euler steps are two matrix powers and one O(N*D) reconstruction of
-the weights. `rate_step` is the single Euler step the propagator is the
-T-fold power of.
+so T Euler steps are two matrix powers (`rate_step` is the single Euler
+step they are the T-fold power of). The weights follow from a_end:
+u_i <- dec u_i + c_i x_hat with c_i = a_end_i - dec a_i.
 
-Only the reconstruction depends on the state. The runner takes the
-presentations in blocks of `_BLOCK`: per block, one draw gives the
-inputs, and stacked calls give their norms, x_hat, z0 = w0 x, the
-(m, 5, 5) step matrices and both matrix powers, before the
-per-presentation loop applies them in order. Each stacked call is
-bitwise the per-presentation one, so the output does not depend on the
-block size.
+The shared map. Written on u instead of a, the same three pieces are
+one affine map per presentation that all neurons share. A neuron's
+deviations (r_i - mean r, u_i - mean u) take, from the deviation
+power P,
 
-The loop allocates nothing. It works through in-place `out=` forms in
-buffers made once per run: the weight difference, the rank-1 update,
-the (3, N) deviations and the 5-vector of means. It writes each
-presentation's weights into a neuron-major (N, m, D) snapshot block and
-its rates into an (m, N) block. One `neg_log_snr` call fills the
-block's trajectory, reading a full block's snapshots in place (for
-D = 1 it sums a cell-major copy, as one (N, 1) group does).
+    r_i - mean r  <- P_rr (r_i - mean r) + P_ra x_hat . (u_i - mean u)
+                     + P_rz (z0_i - mean z0)
+    c_i - mean c   = P_ar (r_i - mean r) + (P_aa - dec) x_hat . (u_i - mean u)
+                     + P_az (z0_i - mean z0)
+    u_i - mean u  <- dec (u_i - mean u) + (c_i - mean c) x_hat,
+
+and the means (mean r, mean u, r_inh) take the same form from the mean
+power, with r_inh and 1 as two more inputs. Each neuron's own input is
+its z0_i - mean z0; everything else is the same for every neuron. So a
+state is one (D+5, N+1) array, a column per neuron and one for the
+means, and three calls advance it: a (2, D+5) map gives (c, r) for the
+neurons, a (3, D+5) one (c, r, r_inh) for the means, and one
+(D, D+1) map [dec I | x_hat] gives u from (u, c) for both. The maps
+cost O(D) per presentation to build; the last call costs O(D^2) per
+neuron, so for D > `_MAP_MAX_D` the runner keeps the propagator's
+per-presentation reconstruction of the weights, O(D) in ~20 calls.
+Terminal plasticity composes one more plasticity half step at gain
+eta onto both powers; alpha = inf drops the rates and leaves the means
+a decay.
+
+The runner takes the presentations in blocks of `_BLOCK`: per block,
+one draw gives the inputs, and stacked calls give their norms, x_hat,
+z0 = w0 x, the (m, 5, 5) step matrices, both matrix powers and the
+maps, before the per-presentation loop applies them in order. Each
+stacked call is bitwise the per-presentation one, and the state carries
+over from block to block as it is, so the output does not depend on the
+block size. Both runners write each presentation's weights into a
+snapshot block and its rates into an (m, N) block; one `neg_log_snr`
+call fills the block's trajectory. The shared map's weights are the
+block's w0 + (mean u + (u_i - mean u)), formed after its loop; they
+differ from the propagator's, which rebuilds w from w0 every
+presentation, by rounding (1e-9 in the tests, against the propagator
+and against the per-step Euler loop).
 
 The divergence checks run once per block, on those records, in the
 order each presentation takes them: an overflowing decay factor (found
@@ -172,11 +195,17 @@ def _euler_step_matrix(c: float, s: np.ndarray, h: np.ndarray, gamma: float,
 
 
 _DEVIATION = (slice(None),) + np.ix_((0, 1, 3), (0, 1, 3))
+_DEVIATION_MASK = np.zeros((5, 5))
+_DEVIATION_MASK[_DEVIATION[1:]] = 1.0
 
 # Presentations per block. Each block draws its inputs and builds its
-# propagators in stacked calls; a larger block buys no more speed and
-# costs memory for the (m, N, D) weight snapshots.
+# maps in stacked calls; a larger block buys little more speed and costs
+# memory for the block's states and weight snapshots.
 _BLOCK = 32
+
+# The largest D that runs through the shared map, whose weight update
+# costs O(D^2) per neuron; a larger one takes the propagator's O(D).
+_MAP_MAX_D = 25
 
 
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
@@ -185,7 +214,7 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
     """Present config.iterations inputs through the circuit and adapt the
     bundle with the anti-Hebbian rule.
 
-    The Euler-discretized rate equations advance by one exact propagator
+    The Euler-discretized rate equations advance by one exact affine map
     per presentation (alpha = inf degenerates to the exactly-centered
     update applied at the same per-step gain, the settled limit of the
     circuit).
@@ -209,38 +238,21 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
 
 def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
     w = bundle.weights
-    w0 = bundle.init
     n, d = bundle.n, bundle.d
     ideal = math.isinf(circuit.alpha)
     if not ideal:
         circuit.reset(n)
     steps = circuit.steps_per_presentation
     t_step = steps * circuit.dt
-    # The settled limit follows the centered drive within each step (c = 1)
-    # and propagates only the deviation mode, which alpha does not reach.
-    c = 1.0 if ideal else circuit.dt / circuit.tau
-    alpha = 0.0 if ideal else circuit.alpha
     gain = rate_const * circuit.dt if plasticity == "continuous" else 0.0
-    terminal = plasticity == "terminal"
     traj = np.empty(config.iterations)
     initial = neg_log_snr(w)
     nonneg = 0
-    # the per-run workspace
-    block = min(_BLOCK, config.iterations)
-    snap = np.empty((n, block, d))      # neuron-major weights after each presentation
-    rates = np.empty((block, n))        # rates after each presentation
-    dw = np.empty((n, d))
-    rank1 = np.empty((n, d))
-    dev = np.empty((3, n))              # per-neuron (r_i, a_i, z0_i) less their means
-    dev_end = np.empty((3, n))
-    coef = np.empty(n)
-    means = np.empty(3)
-    state = np.ones(5)                  # (mean r, mean a, r_inh, mean z0, 1)
-    r = np.zeros(n) if ideal else circuit.r
-    r_inh = circuit.r_inh
+    kind = _SharedMap if d <= _MAP_MAX_D else _Propagator
+    runner = kind(bundle, circuit, config, plasticity == "terminal",
+                  min(_BLOCK, config.iterations))
     for k0 in range(0, config.iterations, _BLOCK):
         m = min(_BLOCK, config.iterations - k0)
-        # what depends only on the block's inputs and step sizes
         xs = gen.normal(config.input_mean, config.input_std, size=(m, d))
         etas = [config.schedule(k) for k in range(k0, k0 + m)]
         hs = [eta * gain for eta in etas]
@@ -253,15 +265,197 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
             except OverflowError:
                 break
         run = len(decs)  # the block stops before a decay overflow
+        # the weights (run, N, D), rates (run, N) and r_inh after each presentation
+        ws, rates, r_inhs = runner.block(xs[:run], etas[:run], hs[:run], decs)
+        found = traj[k0:k0 + run]
+        if run:
+            found[:] = neg_log_snr(ws)
+            w[:] = ws[-1]
+        bad_weights = np.zeros(run, dtype=bool)
+        if _maybe_nonfinite(found):
+            bad_weights = ~np.isfinite(ws).all(axis=(1, 2))
+        bad_rates = np.zeros(run, dtype=bool)
+        t_block = circuit.t_ms
+        if ideal:
+            nonneg += run
+        elif run:
+            bad_rates = ~(np.isfinite(rates).all(axis=1) & np.isfinite(r_inhs))
+            nonneg += int(np.count_nonzero(rates.min(axis=1) >= 0.0))
+            circuit.r[:] = rates[-1]
+            circuit.r_inh = float(r_inhs[-1])
+            for _ in range(run):
+                circuit.t_ms += t_step
+        if run < m or bad_rates.any() or bad_weights.any():
+            raise _first_divergence(k0, run, bad_rates, bad_weights, t_block, t_step)
+    frac = nonneg / config.iterations if config.iterations else 1.0
+    return RateSleepResult(trajectory=traj, initial=initial, bundle=bundle,
+                           frac_nonneg=frac)
+
+
+class _Runner:
+    """What both runners take from a run's set-up. The settled limit
+    (alpha = inf) follows the centered drive within each step (c = 1) and
+    propagates only the deviation mode, which alpha does not reach."""
+
+    def __init__(self, bundle, circuit, config, terminal):
+        self.w0 = bundle.init
+        self.n, self.d = bundle.n, bundle.d
+        self.ideal = math.isinf(circuit.alpha)
+        self.steps = circuit.steps_per_presentation
+        self.c = 1.0 if self.ideal else circuit.dt / circuit.tau
+        self.alpha = 0.0 if self.ideal else circuit.alpha
+        self.b = circuit.b
+        self.gamma = config.gamma
+        self.terminal = terminal
+
+    def inputs(self, xs, hs):
+        """The inputs' norms, unit vectors and z0 = w0 x, and their step
+        matrices at per-step gains hs."""
+        s = np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None]))[:, 0, 0]
+        x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
+        z0 = np.matmul(self.w0[None], xs[:, :, None])[..., 0]
+        step = _euler_step_matrix(self.c, s, np.array(hs), self.gamma, self.alpha, self.b)
+        return s, x_hats, z0, step
+
+
+class _SharedMap(_Runner):
+    """Every neuron's values less the means, (r_i, u_i = w_i - w0_i, z0_i)
+    less (mean r, mean u, mean z0), follow one affine map per
+    presentation; the means follow another. A state is the (D+5, N+1)
+    array of rows (c, r, r_inh, 1, z0, u) with a column per neuron (its
+    values less the means, so its r_inh and 1 are 0) and a last column
+    for the means; c is the coefficient of x_hat in the weight update
+    that led to it. Three calls advance a state: (c, r) of the next one
+    for the neurons, (c, r, r_inh) for the means, then u of the next,
+    dec u + c x_hat, for both."""
+
+    # the step-matrix coordinate of c (a), r, r_inh, 1 and z0
+    STEP_OF = (1, 0, 2, 4, 3)
+    R, INH, ONE, Z0, U = 1, 2, 3, 4, 5
+
+    def __init__(self, bundle, circuit, config, terminal, block):
+        super().__init__(bundle, circuit, config, terminal)
+        n, d = self.n, self.d
+        # The states of a block: the one it starts from, then the one after
+        # each presentation. In memory, u of one state runs on into c of
+        # the next.
+        self.states = np.zeros((block + 1, self.U + d, n + 1))
+        self.states[:, self.ONE, n] = 1.0
+        r = np.zeros(n) if self.ideal else circuit.r
+        u = bundle.weights - self.w0
+        first = self.states[0]
+        first[self.R, n] = r.mean()
+        first[self.R, :n] = r - first[self.R, n]
+        first[self.INH, n] = circuit.r_inh
+        first[self.U:, n] = u.mean(axis=0)
+        first[self.U:, :n] = (u - first[self.U:, n]).T
+        self.w0_t = self.w0.T.copy()
+        self.snap = np.empty((block, d, n))     # weights after each presentation
+        # each presentation's operands: its state, the next one's (c, r),
+        # the means' column and the next one's (c, r, r_inh) in it, (u, c)
+        # running on into the next state, and the next one's u
+        height = self.U + d
+        flat = self.states.reshape(-1, n + 1)
+        self.operands = [
+            (self.states[j], self.states[j + 1, :2], self.states[j, :, n],
+             self.states[j + 1, :3, n], flat[j * height + self.U:(j + 1) * height + 1],
+             self.states[j + 1, self.U:])
+            for j in range(block)]
+
+    def maps(self, xs, etas, hs, decs):
+        """The block's maps: (c, r) of the next state for the neurons,
+        (m, 2, D+5); (c, r, r_inh) for the means, (m, 3, D+5); u of the
+        next state from (u, c), (m, D, D+1); and the inputs' z0, (m, N)."""
+        m, d = xs.shape
+        s, x_hats, z0, step = self.inputs(xs, hs)
+        # the deviations' step is the means' with r_inh and 1 cut off; the
+        # settled limit's means take no step
+        steps = [step * _DEVIATION_MASK] + ([] if self.ideal else [step])
+        powers = np.linalg.matrix_power(np.stack(steps), self.steps)
+        decs = np.array(decs)
+        if self.terminal:
+            # then w <- w - eta (settled x + gamma (w - w0)): the plasticity
+            # half of an Euler step at gain eta, from the settled rates (at
+            # alpha = inf, from the centered drive)
+            etas = np.array(etas)
+            settle = _euler_step_matrix(float(self.ideal), s, etas, self.gamma,
+                                        self.alpha, self.b)
+            settles = [settle * _DEVIATION_MASK] + ([] if self.ideal else [settle])
+            powers = np.matmul(np.stack(settles), powers)
+            decs = decs * (1.0 - etas * self.gamma)
+        if self.ideal:
+            # the settled limit carries no rates, and its mean weight
+            # difference only decays
+            powers[0, :, 0] = 0.0
+            powers[0, :, :, 0] = 0.0
+            mean = np.tile(np.eye(5), (m, 1, 1))
+            mean[:, 1, 1] = decs
+            powers = np.stack((powers[0], mean))
+        # u moves by c x_hat, c = a_end - dec a with a = x_hat . u
+        powers[:, :, 1, 1] -= decs
+        rows = np.zeros((2, m, 3, self.U + d))
+        outputs = powers[:, :, (1, 0, 2)]
+        rows[..., 1:self.U] = outputs[..., self.STEP_OF[1:]]
+        np.multiply(outputs[..., 1:2], x_hats[:, None, :], out=rows[..., self.U:])
+        updates = np.zeros((m, d, d + 1))
+        updates.reshape(m, d * (d + 1))[:, ::d + 2] = decs[:, None]
+        updates[:, :, d] = x_hats
+        return rows[0, :, :2], rows[1], updates, z0
+
+    def block(self, xs, etas, hs, decs):
+        n, run, states = self.n, len(decs), self.states
+        dev_maps, mean_maps, updates, z0 = self.maps(xs, etas, hs, decs)
+        now, after = states[:run], states[1:run + 1]
+        now[:, self.Z0, n] = np.add.reduce(z0, axis=1) / n
+        np.subtract(z0, now[:, self.Z0, n:], out=now[:, self.Z0, :n])
+        for dev_map, mean_map, update, (state, dev_out, mean, mean_out, u_c, u_out) in zip(
+                dev_maps, mean_maps, updates, self.operands):
+            np.dot(dev_map, state, out=dev_out)
+            np.matmul(mean_map, mean, out=mean_out)
+            np.dot(update, u_c, out=u_out)
+        rates = after[:, self.R, :n] + after[:, self.R, n:]
+        r_inhs = after[:, self.INH, n].copy()
+        # each presentation's weights w0 + (mean u + (u_i - mean u))
+        ws = self.snap[:run]
+        np.add(after[:, self.U:, :n], after[:, self.U:, n:], out=ws)
+        ws += self.w0_t
+        states[0] = states[run]
+        return ws.transpose(0, 2, 1), rates, r_inhs
+
+
+class _Propagator(_Runner):
+    """Per presentation, the deviation propagator acts on each neuron's
+    (r_i, a_i, z0_i) less their means, the mean propagator on the means,
+    and the weights are rebuilt from them: O(N*D) in ~20 calls."""
+
+    def __init__(self, bundle, circuit, config, terminal, block):
+        super().__init__(bundle, circuit, config, terminal)
+        n, d = self.n, self.d
+        self.w = bundle.weights
+        self.circuit = circuit
+        # the per-run workspace
+        self.snap = np.empty((n, block, d))     # neuron-major weights after each presentation
+        self.rates = np.empty((block, n))       # rates after each presentation
+        self.dw = np.empty((n, d))
+        self.rank1 = np.empty((n, d))
+        self.dev = np.empty((3, n))             # per-neuron (r_i, a_i, z0_i) less their means
+        self.dev_end = np.empty((3, n))
+        self.coef = np.empty(n)
+        self.means = np.empty(3)
+        self.state = np.ones(5)                 # (mean r, mean a, r_inh, mean z0, 1)
+        self.r = np.zeros(n) if self.ideal else circuit.r
+
+    def block(self, xs, etas, hs, decs):
+        w, w0, n, ideal = self.w, self.w0, self.n, self.ideal
+        dw, rank1, dev, dev_end, coef, means, state = (
+            self.dw, self.rank1, self.dev, self.dev_end, self.coef, self.means, self.state)
+        snap, rates, r, r_inh = self.snap, self.rates, self.r, self.circuit.r_inh
+        run = len(decs)
         if not ideal or any(hs):
-            s = np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None]))[:, 0, 0]
-            x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
-            z0 = np.matmul(w0[None], xs[:, :, None])[..., 0]
-            step = _euler_step_matrix(c, s, np.array(hs), config.gamma, alpha,
-                                      circuit.b)
-            dev_powers = np.linalg.matrix_power(step[_DEVIATION], steps)
+            s, x_hats, z0, step = self.inputs(xs, hs)
+            dev_powers = np.linalg.matrix_power(step[_DEVIATION], self.steps)
             if not ideal:
-                mean_powers = np.linalg.matrix_power(step, steps)
+                mean_powers = np.linalg.matrix_power(step, self.steps)
         r_inhs = []
         for j in range(run):
             eta, h = etas[j], hs[j]
@@ -296,43 +490,21 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
                     np.multiply(coef[:, None], x_hats[j], out=rank1)
                     dw += rank1
                     np.add(w0, dw, out=w)
-            if terminal:
+            if self.terminal:
                 # w <- w - eta (settled x + gamma (w - w0))
                 if ideal:
                     np.matmul(w, xs[j], out=coef)
                     coef -= coef.mean()
                 else:
-                    np.subtract(r, circuit.b, out=coef)
+                    np.subtract(r, self.b, out=coef)
                 np.subtract(w, w0, out=dw)
-                dw *= config.gamma
+                dw *= self.gamma
                 np.multiply(coef[:, None], xs[j], out=rank1)
                 rank1 += dw
                 rank1 *= eta
                 w -= rank1
             snap[:, j] = w
-        found = traj[k0:k0 + run]
-        if run:
-            found[:] = neg_log_snr(snap[:, :run].transpose(1, 0, 2))
-        bad_weights = np.zeros(run, dtype=bool)
-        if _maybe_nonfinite(found):
-            bad_weights = ~np.isfinite(snap[:, :run]).all(axis=(0, 2))
-        bad_rates = np.zeros(run, dtype=bool)
-        t_block = circuit.t_ms
-        if ideal:
-            nonneg += run
-        elif run:
-            bad_rates = ~(np.isfinite(rates[:run]).all(axis=1) & np.isfinite(r_inhs))
-            nonneg += int(np.count_nonzero(rates[:run].min(axis=1) >= 0.0))
-            circuit.r[:] = r
-            r = circuit.r
-            circuit.r_inh = r_inh
-            for _ in range(run):
-                circuit.t_ms += t_step
-        if run < m or bad_rates.any() or bad_weights.any():
-            raise _first_divergence(k0, run, bad_rates, bad_weights, t_block, t_step)
-    frac = nonneg / config.iterations if config.iterations else 1.0
-    return RateSleepResult(trajectory=traj, initial=initial, bundle=bundle,
-                           frac_nonneg=frac)
+        return snap[:, :run].transpose(1, 0, 2), rates[:run], np.array(r_inhs)
 
 
 def _first_divergence(k0: int, run: int, bad_rates: np.ndarray, bad_weights: np.ndarray,

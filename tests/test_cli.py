@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -551,11 +552,48 @@ def test_module_entry_point(tmp_path):
     ["sleep-rate", "--iters", "60", "--eta-b", "-2"],
     ["noise-floor", "--b", "0"],
     ["noise-floor", "--slope-b", "0"],
+    ["sleep-ideal", "--eta-a", "-0.5"],
+    ["sleep-ideal", "--eta-a", "0"],
+    ["sleep-rate", "--eta-a=-3e-4"],
+    ["noise-floor", "--a", "-16"],
+    ["noise-floor", "--slope-a", "0"],
+    ["fixed-point", "--tol", "-1"],
+    ["fixed-point", "--tol", "0"],
+    ["noise-floor", "--gamma", "-1"],
+    ["noise-floor", "--gamma", "0"],
+    ["sleep-ideal", "--momentum", "1.5"],
+    ["sleep-ideal", "--momentum", "1"],
+    ["sleep-ideal", "--momentum", "-0.1"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejects_sweep_sizes_below_bound(tmp_path, argv):
     out = tmp_path / "o"
     assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,key,value", [
+    ("sleep-ideal", "eta_a", "-0.5"),
+    ("sleep-rate", "eta_a", "-0.5"),
+    ("noise-floor", "a", "-16"),
+    ("noise-floor", "slope_a", "-0.034"),
+    ("noise-floor", "gamma", "-1"),
+    ("fixed-point", "tol", "-1"),
+    ("sleep-ideal", "momentum", "1.5"),
+])
+def test_replay_refuses_values_outside_the_domain(tmp_path, sub, key, value):
+    # a manifest may hold a value that an older parser let through
+    out = tmp_path / "o"
+    size = {"sleep-ideal": SMALL_SLEEP, "sleep-rate": [*SMALL_SLEEP, "--iters", "2"],
+            "noise-floor": ["--seeds", "1", "--slope-iters", "20", "--iters", "5"],
+            "fixed-point": ["--instances", "1", "--n-max", "3", "--d-max", "3"]}[sub]
+    assert run(sub, *size, "--out", str(out)) == 0
+    text = (out / "manifest.txt").read_text()
+    old = tmp_path / "old_manifest.txt"
+    old.write_text(re.sub(rf"^cfg\.{key}=.*$", f"cfg.{key}={value}", text, flags=re.M))
+    assert f"cfg.{key}={value}\n" in old.read_text()
+    redo = tmp_path / "r"
+    assert run(sub, "--replay", str(old), "--out", str(redo)) == cli.EXIT_USAGE
+    assert not redo.exists()
 
 
 def _idx_files(tmp_path, n=20, side=8, header_only=False):
@@ -574,7 +612,7 @@ def _idx_files(tmp_path, n=20, side=8, header_only=False):
     "arm-parameter-0", "arm-parameter-on-conv", "ws-kernel-over-half-image",
     "compare-reps-not-dividing-batch", "noise-negative", "compare-noise-negative",
     "compare-duplicate-arm", "lr-0", "lr-negative", "weight-decay-negative",
-    "compare-lr-negative",
+    "compare-lr-negative", "compare-arm-spelled-twice", "compare-reps-spelled-twice",
 ])
 def test_train_rejects_bad_input_before_work(tmp_path, case):
     images, labels = _idx_files(tmp_path, side=7 if case == "odd-idx-side" else 8,
@@ -604,6 +642,8 @@ def test_train_rejects_bad_input_before_work(tmp_path, case):
         "lr-negative": ["--lr", "-1"],
         "weight-decay-negative": ["--weight-decay", "-5"],
         "compare-lr-negative": ["--arms", "lc", "--lr", "-1"],
+        "compare-arm-spelled-twice": ["--arms", "lc-ws,lc-ws:1", "--epochs", "1"],
+        "compare-reps-spelled-twice": ["--arms", "conv,lc-reps:16,lc-reps", "--epochs", "1"],
     }[case]
     sub = "compare" if case.startswith("compare") else "train"
     out = tmp_path / "o"

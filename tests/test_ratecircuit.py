@@ -347,6 +347,106 @@ def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuo
     return traj, nonneg / config.iterations if config.iterations else 1.0
 
 
+DEVIATION_MASK = np.zeros((5, 5))
+DEVIATION_MASK[DEVIATION] = 1.0
+
+
+def map_rows(powers, x_hat):
+    """The rows that give (c, r, r_inh) of the next state from a state on
+    (c, r, r_inh, 1, z0, u), from a map on (r, a, r_inh, z0, 1) whose a
+    entry already has dec taken off."""
+    rows = np.zeros((3, 5 + len(x_hat)))
+    for i, t in enumerate((1, 0, 2)):
+        rows[i, 1:5] = powers[t, [0, 2, 4, 3]]
+        rows[i, 5:] = powers[t, 1] * x_hat
+    return rows
+
+
+def map_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
+                       rate_const=2.0):
+    """Reference for rate_sleep_run's shared per-neuron map: draws, builds
+    and applies each presentation's maps on its own, to a state of
+    (c, r, r_inh, 1, z0, u) rows with a column per neuron (its values less
+    the means) and one for the means, then checks it for a decay overflow,
+    non-finite rates and non-finite weights."""
+    w, w0 = bundle.weights, bundle.init
+    n, d = bundle.n, bundle.d
+    ideal = math.isinf(circuit.alpha)
+    if not ideal:
+        circuit.reset(n)
+    steps = circuit.steps_per_presentation
+    c = 1.0 if ideal else circuit.dt / circuit.tau
+    alpha = 0.0 if ideal else circuit.alpha
+    gain = rate_const * circuit.dt if plasticity == "continuous" else 0.0
+    terminal = plasticity == "terminal"
+    # the state and the next one, u of the first running on into c of the next
+    pair = np.zeros((2, 5 + d, n + 1))
+    state, nxt = pair
+    pair[:, 3, n] = 1.0
+    r = np.zeros(n) if ideal else circuit.r
+    state[1, n] = r.mean()
+    state[1, :n] = r - state[1, n]
+    state[2, n] = circuit.r_inh
+    state[5:, n] = (w - w0).mean(axis=0)
+    state[5:, :n] = ((w - w0) - state[5:, n]).T
+    traj = np.empty(config.iterations)
+    nonneg = 0
+    for k in range(config.iterations):
+        x = gen.normal(config.input_mean, config.input_std, size=d)
+        eta = config.schedule(k)
+        h = eta * gain
+        try:
+            dec = (1.0 - h * config.gamma) ** steps
+        except OverflowError:
+            raise DivergenceError("weight decay factor overflowed",
+                                  f"presentation {k}") from None
+        s = math.sqrt(float(x @ x))
+        x_hat = x / s if s else x
+        z0 = w0 @ x
+        step = step_matrix(c, s, h, config.gamma, alpha, circuit.b)
+        powers = np.linalg.matrix_power(np.stack((step * DEVIATION_MASK, step)), steps)
+        if terminal:
+            settle = step_matrix(1.0 if ideal else 0.0, s, eta, config.gamma, alpha,
+                                 circuit.b)
+            powers = np.stack((settle * DEVIATION_MASK, settle)) @ powers
+            dec = dec * (1.0 - eta * config.gamma)
+        if ideal:
+            powers[0, 0] = 0.0
+            powers[0, :, 0] = 0.0
+            powers[1] = np.eye(5)
+            powers[1, 1, 1] = dec
+        powers[:, 1, 1] -= dec
+        update = np.zeros((d, d + 1))
+        update[:, :d] = dec * np.eye(d)
+        update[:, d] = x_hat
+        state[4, n] = np.add.reduce(z0) / n
+        state[4, :n] = z0 - state[4, n]
+        np.dot(map_rows(powers[0], x_hat)[:2], state, out=nxt[:2])
+        np.matmul(map_rows(powers[1], x_hat), state[:, n], out=nxt[:3, n])
+        np.dot(update, pair.reshape(-1, n + 1)[5:6 + d], out=nxt[5:])
+        if not ideal:
+            circuit.r[:] = nxt[1, :n] + nxt[1, n]
+            circuit.r_inh = float(nxt[2, n])
+            circuit.t_ms += steps * circuit.dt
+            if not np.all(np.isfinite(circuit.r)) or not math.isfinite(circuit.r_inh):
+                raise DivergenceError("rate dynamics diverged",
+                                      f"presentation {k}, t = {circuit.t_ms:.1f} ms")
+        w[:] = ((nxt[5:, :n] + nxt[5:, n:]) + w0.T).T
+        if ideal or circuit.r.min() >= 0.0:
+            nonneg += 1
+        if not np.all(np.isfinite(w)):
+            raise DivergenceError("non-finite weights in rate sleep run", f"presentation {k}")
+        traj[k] = ss.neg_log_snr(w)
+        state[...] = nxt
+    return traj, nonneg / config.iterations if config.iterations else 1.0
+
+
+def reference_run(d):
+    """The per-presentation reference of the runner that rate_sleep_run
+    takes for D = d."""
+    return map_rate_sleep_run if d <= ss.ratecircuit._MAP_MAX_D else propagator_rate_sleep_run
+
+
 BLOCK = ss.ratecircuit._BLOCK
 
 
@@ -355,12 +455,13 @@ BLOCK = ss.ratecircuit._BLOCK
        plasticity=st.sampled_from(["continuous", "terminal"]),
        warmup=st.sampled_from([0, 5, BLOCK + 2]),
        iterations=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
-       k=st.sampled_from([1, 2, 3]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+       k=st.sampled_from([1, 2, 3, 6]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
 def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, warmup,
                                                        iterations, k, n, seed):
-    # the stacked per-block set-up gives the per-presentation bits exactly
+    # the stacked per-block set-up gives the per-presentation bits exactly,
+    # through the shared map (k <= 5) and through the propagator (k = 6)
     runs = []
-    for runner in (ss.rate_sleep_run, propagator_rate_sleep_run):
+    for runner in (ss.rate_sleep_run, reference_run(k * k)):
         gen = RngStream(seed, (46,)).generator()
         bundle = ss.WeightBundle.from_rng(gen, n, k * k)
         circuit = make_circuit(alpha=alpha)
@@ -378,6 +479,34 @@ def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, warmup
     else:
         assert np.array_equal(circuit.r, ref_circuit.r)
     assert circuit.r_inh == ref_circuit.r_inh
+    assert circuit.t_ms == ref_circuit.t_ms
+    assert np.array_equal(gen.random(4), ref_gen.random(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.sampled_from([10.0, math.inf]),
+       plasticity=st.sampled_from(["continuous", "terminal"]),
+       warmup=st.sampled_from([0, 5, BLOCK + 2]),
+       iterations=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+       k=st.sampled_from([1, 2, 3]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+def test_shared_map_matches_propagator_oracle(alpha, plasticity, warmup, iterations, k, n,
+                                              seed):
+    # the shared map moves the propagator's bits by rounding only
+    runs = []
+    for runner in (ss.rate_sleep_run, propagator_rate_sleep_run):
+        gen = RngStream(seed, (48,)).generator()
+        bundle = ss.WeightBundle.from_rng(gen, n, k * k)
+        circuit = make_circuit(alpha=alpha)
+        cfg = ss.SleepConfig(
+            gamma=1e-3, schedule=ss.Schedule("inverse_sqrt", 3e-4, 2.0, warmup=warmup),
+            iterations=iterations, alpha=alpha)
+        out = runner(bundle, circuit, cfg, gen, plasticity=plasticity)
+        runs.append((out, bundle, circuit, gen))
+    (res, bundle, circuit, gen), ((traj, frac), ref_bundle, ref_circuit, ref_gen) = runs
+    assert np.abs(res.trajectory - traj).max() <= 1e-9
+    assert (np.abs(bundle.weights - ref_bundle.weights).max()
+            <= 1e-9 * np.abs(ref_bundle.weights).max())
+    assert res.frac_nonneg == frac
     assert circuit.t_ms == ref_circuit.t_ms
     assert np.array_equal(gen.random(4), ref_gen.random(4))
 
@@ -419,7 +548,21 @@ def test_blocked_runner_diverges_as_per_presentation_oracle(alpha, plasticity, s
     # checks would, with the same presentation and t
     args = (alpha, plasticity, start, 10.0 ** log_eta, gamma, n, seed)
     assert (divergence_outcome(ss.rate_sleep_run, *args)
-            == divergence_outcome(propagator_rate_sleep_run, *args))
+            == divergence_outcome(map_rate_sleep_run, *args))
+
+
+@pytest.mark.parametrize("alpha,plasticity,start,log_eta,gamma,error", [
+    (10.0, "continuous", 40, 2.0, 1.0, "weight decay factor overflowed [presentation 40]"),
+    (10.0, "continuous", 20, 0.5, 1e-3, "rate dynamics diverged [presentation 34,"),
+    (math.inf, "continuous", 45, -0.5, 1e-3,
+     "non-finite weights in rate sleep run [presentation 47]"),
+    (10.0, "terminal", 0, 4.0, 1e-3, "non-finite weights in rate sleep run [presentation 63]"),
+])
+def test_divergence_examples_raise_their_kind(alpha, plasticity, start, log_eta, gamma, error):
+    # the examples above, each written for one of the three checks
+    out = divergence_outcome(ss.rate_sleep_run, alpha, plasticity, start, 10.0 ** log_eta,
+                             gamma, 6, 0)
+    assert isinstance(out, str) and out.startswith(error)
 
 
 def test_circuit_and_bundle_equality_is_identity():
