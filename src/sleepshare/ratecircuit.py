@@ -52,9 +52,9 @@ state is one (D+5, N+1) array, a column per neuron and one for the
 means, and three calls advance it: a (2, D+5) map gives (c, r) for the
 neurons, a (3, D+5) one (c, r, r_inh) for the means, and one
 (D, D+1) map [dec I | x_hat] gives u from (u, c) for both. The maps
-cost O(D) per presentation to build; the last call costs O(D^2) per
-neuron, so for D > `_MAP_MAX_D` the runner keeps the propagator's
-per-presentation reconstruction of the weights, O(D) in ~20 calls.
+cost O(D) per presentation to build, and the last call O(D^2) per
+neuron: at D = 81 (k = 9) it costs more than rebuilding each neuron's
+weights from the two propagators in ~20 calls of O(D) would.
 Terminal plasticity composes one more plasticity half step at gain
 eta onto both powers; alpha = inf drops the rates and leaves the means
 a decay.
@@ -65,13 +65,10 @@ z0 = w0 x, the (m, 5, 5) step matrices, both matrix powers and the
 maps, before the per-presentation loop applies them in order. Each
 stacked call is bitwise the per-presentation one, and the state carries
 over from block to block as it is, so the output does not depend on the
-block size. Both runners write each presentation's weights into a
-snapshot block and its rates into an (m, N) block; one `neg_log_snr`
-call fills the block's trajectory. The shared map's weights are the
-block's w0 + (mean u + (u_i - mean u)), formed after its loop; they
-differ from the propagator's, which rebuilds w from w0 every
-presentation, by rounding (1e-9 in the tests, against the propagator
-and against the per-step Euler loop).
+block size. After its loop, a block's weights w0 + (mean u +
+(u_i - mean u)) and rates are formed in batch, and one `neg_log_snr`
+call fills its trajectory. They differ by rounding from the
+propagators' and the per-step Euler loop's (1e-9 in the tests).
 
 The divergence checks run once per block, on those records, in the
 order each presentation takes them: an overflowing decay factor (found
@@ -174,6 +171,9 @@ class RateSleepResult(SleepResult):
     frac_nonneg: float = 1.0   # presentations whose settled rates stayed >= 0
 
 
+_EYE5 = np.eye(5)
+
+
 def _euler_step_matrix(c: float, s: np.ndarray, h: np.ndarray, gamma: float,
                        alpha: float, b: float) -> np.ndarray:
     """One Euler step of (mean r, mean a, r_inh, mean z0, 1) as a 5x5 matrix
@@ -183,29 +183,24 @@ def _euler_step_matrix(c: float, s: np.ndarray, h: np.ndarray, gamma: float,
     rates. Rows and columns (0, 1, 3) are the step of the per-neuron
     deviations from those means, which the shared r_inh and the constants
     do not reach."""
-    rates = np.tile(np.eye(5), (len(s), 1, 1))
+    rates = _EYE5[None].repeat(len(s), 0)
     rates[:, 0] = (1.0 - c, 0.0, -c * alpha, c, c * b)
     rates[:, 0, 1] = c * s
     rates[:, 2] = (c, 0.0, 1.0 - c, 0.0, -c * b)
-    plastic = np.tile(np.eye(5), (len(s), 1, 1))
+    plastic = _EYE5[None].repeat(len(s), 0)
     plastic[:, 1, 0] = -h * s
     plastic[:, 1, 1] = 1.0 - h * gamma
     plastic[:, 1, 4] = h * s * b
     return plastic @ rates
 
 
-_DEVIATION = (slice(None),) + np.ix_((0, 1, 3), (0, 1, 3))
 _DEVIATION_MASK = np.zeros((5, 5))
-_DEVIATION_MASK[_DEVIATION[1:]] = 1.0
+_DEVIATION_MASK[np.ix_((0, 1, 3), (0, 1, 3))] = 1.0
 
 # Presentations per block. Each block draws its inputs and builds its
 # maps in stacked calls; a larger block buys little more speed and costs
 # memory for the block's states and weight snapshots.
 _BLOCK = 32
-
-# The largest D that runs through the shared map, whose weight update
-# costs O(D^2) per neuron; a larger one takes the propagator's O(D).
-_MAP_MAX_D = 25
 
 
 def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConfig,
@@ -248,9 +243,8 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
     traj = np.empty(config.iterations)
     initial = neg_log_snr(w)
     nonneg = 0
-    kind = _SharedMap if d <= _MAP_MAX_D else _Propagator
-    runner = kind(bundle, circuit, config, plasticity == "terminal",
-                  min(_BLOCK, config.iterations))
+    runner = _SharedMap(bundle, circuit, config, plasticity == "terminal",
+                        min(_BLOCK, config.iterations))
     for k0 in range(0, config.iterations, _BLOCK):
         m = min(_BLOCK, config.iterations - k0)
         xs = gen.normal(config.input_mean, config.input_std, size=(m, d))
@@ -292,33 +286,7 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
                            frac_nonneg=frac)
 
 
-class _Runner:
-    """What both runners take from a run's set-up. The settled limit
-    (alpha = inf) follows the centered drive within each step (c = 1) and
-    propagates only the deviation mode, which alpha does not reach."""
-
-    def __init__(self, bundle, circuit, config, terminal):
-        self.w0 = bundle.init
-        self.n, self.d = bundle.n, bundle.d
-        self.ideal = math.isinf(circuit.alpha)
-        self.steps = circuit.steps_per_presentation
-        self.c = 1.0 if self.ideal else circuit.dt / circuit.tau
-        self.alpha = 0.0 if self.ideal else circuit.alpha
-        self.b = circuit.b
-        self.gamma = config.gamma
-        self.terminal = terminal
-
-    def inputs(self, xs, hs):
-        """The inputs' norms, unit vectors and z0 = w0 x, and their step
-        matrices at per-step gains hs."""
-        s = np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None]))[:, 0, 0]
-        x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
-        z0 = np.matmul(self.w0[None], xs[:, :, None])[..., 0]
-        step = _euler_step_matrix(self.c, s, np.array(hs), self.gamma, self.alpha, self.b)
-        return s, x_hats, z0, step
-
-
-class _SharedMap(_Runner):
+class _SharedMap:
     """Every neuron's values less the means, (r_i, u_i = w_i - w0_i, z0_i)
     less (mean r, mean u, mean z0), follow one affine map per
     presentation; the means follow another. A state is the (D+5, N+1)
@@ -327,15 +295,23 @@ class _SharedMap(_Runner):
     for the means; c is the coefficient of x_hat in the weight update
     that led to it. Three calls advance a state: (c, r) of the next one
     for the neurons, (c, r, r_inh) for the means, then u of the next,
-    dec u + c x_hat, for both."""
+    dec u + c x_hat, for both. The settled limit (alpha = inf) follows
+    the centered drive within each step (c = 1) and carries no rates."""
 
     # the step-matrix coordinate of c (a), r, r_inh, 1 and z0
     STEP_OF = (1, 0, 2, 4, 3)
     R, INH, ONE, Z0, U = 1, 2, 3, 4, 5
 
     def __init__(self, bundle, circuit, config, terminal, block):
-        super().__init__(bundle, circuit, config, terminal)
-        n, d = self.n, self.d
+        self.w0 = bundle.init
+        n, d = self.n, self.d = bundle.n, bundle.d
+        self.ideal = math.isinf(circuit.alpha)
+        self.steps = circuit.steps_per_presentation
+        self.c = 1.0 if self.ideal else circuit.dt / circuit.tau
+        self.alpha = 0.0 if self.ideal else circuit.alpha
+        self.b = circuit.b
+        self.gamma = config.gamma
+        self.terminal = terminal
         # The states of a block: the one it starts from, then the one after
         # each presentation. In memory, u of one state runs on into c of
         # the next.
@@ -349,6 +325,9 @@ class _SharedMap(_Runner):
         first[self.INH, n] = circuit.r_inh
         first[self.U:, n] = u.mean(axis=0)
         first[self.U:, :n] = (u - first[self.U:, n]).T
+        # the weight maps [dec I | x_hat]; only their diagonal and last
+        # column change
+        self.updates = np.zeros((block, d, d + 1))
         self.w0_t = self.w0.T.copy()
         self.snap = np.empty((block, d, n))     # weights after each presentation
         # each presentation's operands: its state, the next one's (c, r),
@@ -367,7 +346,10 @@ class _SharedMap(_Runner):
         (m, 2, D+5); (c, r, r_inh) for the means, (m, 3, D+5); u of the
         next state from (u, c), (m, D, D+1); and the inputs' z0, (m, N)."""
         m, d = xs.shape
-        s, x_hats, z0, step = self.inputs(xs, hs)
+        s = np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None]))[:, 0, 0]
+        x_hats = xs / np.where(s == 0.0, 1.0, s)[:, None]
+        z0 = np.matmul(self.w0[None], xs[:, :, None])[..., 0]
+        step = _euler_step_matrix(self.c, s, np.array(hs), self.gamma, self.alpha, self.b)
         # the deviations' step is the means' with r_inh and 1 cut off; the
         # settled limit's means take no step
         steps = [step * _DEVIATION_MASK] + ([] if self.ideal else [step])
@@ -388,7 +370,7 @@ class _SharedMap(_Runner):
             # difference only decays
             powers[0, :, 0] = 0.0
             powers[0, :, :, 0] = 0.0
-            mean = np.tile(np.eye(5), (m, 1, 1))
+            mean = _EYE5[None].repeat(m, 0)
             mean[:, 1, 1] = decs
             powers = np.stack((powers[0], mean))
         # u moves by c x_hat, c = a_end - dec a with a = x_hat . u
@@ -397,7 +379,7 @@ class _SharedMap(_Runner):
         outputs = powers[:, :, (1, 0, 2)]
         rows[..., 1:self.U] = outputs[..., self.STEP_OF[1:]]
         np.multiply(outputs[..., 1:2], x_hats[:, None, :], out=rows[..., self.U:])
-        updates = np.zeros((m, d, d + 1))
+        updates = self.updates[:m]
         updates.reshape(m, d * (d + 1))[:, ::d + 2] = decs[:, None]
         updates[:, :, d] = x_hats
         return rows[0, :, :2], rows[1], updates, z0
@@ -421,90 +403,6 @@ class _SharedMap(_Runner):
         ws += self.w0_t
         states[0] = states[run]
         return ws.transpose(0, 2, 1), rates, r_inhs
-
-
-class _Propagator(_Runner):
-    """Per presentation, the deviation propagator acts on each neuron's
-    (r_i, a_i, z0_i) less their means, the mean propagator on the means,
-    and the weights are rebuilt from them: O(N*D) in ~20 calls."""
-
-    def __init__(self, bundle, circuit, config, terminal, block):
-        super().__init__(bundle, circuit, config, terminal)
-        n, d = self.n, self.d
-        self.w = bundle.weights
-        self.circuit = circuit
-        # the per-run workspace
-        self.snap = np.empty((n, block, d))     # neuron-major weights after each presentation
-        self.rates = np.empty((block, n))       # rates after each presentation
-        self.dw = np.empty((n, d))
-        self.rank1 = np.empty((n, d))
-        self.dev = np.empty((3, n))             # per-neuron (r_i, a_i, z0_i) less their means
-        self.dev_end = np.empty((3, n))
-        self.coef = np.empty(n)
-        self.means = np.empty(3)
-        self.state = np.ones(5)                 # (mean r, mean a, r_inh, mean z0, 1)
-        self.r = np.zeros(n) if self.ideal else circuit.r
-
-    def block(self, xs, etas, hs, decs):
-        w, w0, n, ideal = self.w, self.w0, self.n, self.ideal
-        dw, rank1, dev, dev_end, coef, means, state = (
-            self.dw, self.rank1, self.dev, self.dev_end, self.coef, self.means, self.state)
-        snap, rates, r, r_inh = self.snap, self.rates, self.r, self.circuit.r_inh
-        run = len(decs)
-        if not ideal or any(hs):
-            s, x_hats, z0, step = self.inputs(xs, hs)
-            dev_powers = np.linalg.matrix_power(step[_DEVIATION], self.steps)
-            if not ideal:
-                mean_powers = np.linalg.matrix_power(step, self.steps)
-        r_inhs = []
-        for j in range(run):
-            eta, h = etas[j], hs[j]
-            if h or not ideal:
-                np.subtract(w, w0, out=dw)
-                dev[0] = r
-                np.matmul(dw, x_hats[j], out=dev[1])
-                dev[2] = z0[j]
-                np.add.reduce(dev, axis=1, out=means)
-                means /= n
-                dev -= means[:, None]
-                np.matmul(dev_powers[j], dev, out=dev_end)
-                dec = decs[j]
-                if ideal:
-                    a_mean_end = dec * means[1]
-                else:
-                    state[:2] = means[:2]
-                    state[2] = r_inh
-                    state[3] = means[2]
-                    mean_end = mean_powers[j] @ state
-                    r = rates[j]
-                    np.add(dev_end[0], mean_end[0], out=r)
-                    r_inh = float(mean_end[2])
-                    r_inhs.append(r_inh)
-                    a_mean_end = mean_end[1]
-                if h:
-                    # w <- w0 + dec (w - w0) + (a_end - dec a) x_hat
-                    dw *= dec
-                    np.add(dev_end[1], a_mean_end - dec * means[1], out=coef)
-                    dev[1] *= dec
-                    coef -= dev[1]
-                    np.multiply(coef[:, None], x_hats[j], out=rank1)
-                    dw += rank1
-                    np.add(w0, dw, out=w)
-            if self.terminal:
-                # w <- w - eta (settled x + gamma (w - w0))
-                if ideal:
-                    np.matmul(w, xs[j], out=coef)
-                    coef -= coef.mean()
-                else:
-                    np.subtract(r, self.b, out=coef)
-                np.subtract(w, w0, out=dw)
-                dw *= self.gamma
-                np.multiply(coef[:, None], xs[j], out=rank1)
-                rank1 += dw
-                rank1 *= eta
-                w -= rank1
-            snap[:, j] = w
-        return snap[:, :run].transpose(1, 0, 2), rates[:run], np.array(r_inhs)
 
 
 def _first_divergence(k0: int, run: int, bad_rates: np.ndarray, bad_weights: np.ndarray,

@@ -211,13 +211,13 @@ def euler_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
     return traj, nonneg / config.iterations
 
 
-def propagator_and_oracle(alpha, plasticity, n, iterations):
+def propagator_and_oracle(alpha, plasticity, n, iterations, k=3):
     """Runs rate_sleep_run, then the Euler reference, on the same cell and
     stream; returns (output, bundle, circuit, generator) for each."""
     runs = []
     for runner in (ss.rate_sleep_run, euler_rate_sleep_run):
-        gen = RngStream(0, (7, 3, 1_000_000, 0)).generator()
-        bundle = ss.WeightBundle.from_rng(gen, n, 9)
+        gen = RngStream(0, (7, k, 1_000_000, 0)).generator()
+        bundle = ss.WeightBundle.from_rng(gen, n, k * k)
         circuit = make_circuit(alpha=alpha)
         cfg = ss.SleepConfig(
             gamma=1e-3, schedule=ss.Schedule("inverse_sqrt", 3e-4, 2.0, warmup=50),
@@ -247,6 +247,14 @@ def test_propagator_matches_euler_oracle(alpha, plasticity):
     assert_matches_oracle(propagator_and_oracle(alpha, plasticity, n=10, iterations=200))
 
 
+@pytest.mark.parametrize("plasticity", ["continuous", "terminal"])
+@pytest.mark.parametrize("alpha", [10.0, math.inf])
+def test_runner_matches_euler_oracle_at_k6(alpha, plasticity):
+    # D = 36: the weight map is a (D, D+1) matrix, dense for every D
+    assert_matches_oracle(propagator_and_oracle(alpha, plasticity, n=10, iterations=100,
+                                                k=6))
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("alpha", [10.0, math.inf])
 def test_propagator_matches_euler_oracle_on_criterion_cell(alpha):
@@ -255,16 +263,25 @@ def test_propagator_matches_euler_oracle_on_criterion_cell(alpha):
                                                 n=100, iterations=10_000))
 
 
-@pytest.mark.parametrize("alpha", [10.0, math.inf])
-def test_propagator_divergence_names_presentation(alpha):
+def assert_diverges_at_first_presentation(alpha, k):
     gen = RngStream(0, (45,)).generator()
-    bundle = ss.WeightBundle.from_rng(gen, 10, 9)
+    bundle = ss.WeightBundle.from_rng(gen, 10, k * k)
     cfg = ss.SleepConfig(gamma=1e-3, schedule=ss.Schedule("constant", 1e3),
                          iterations=5, alpha=alpha)
     # pytest turns a RuntimeWarning into an error: the runner must not warn
     with pytest.raises(DivergenceError) as exc:
         ss.rate_sleep_run(bundle, make_circuit(alpha=alpha), cfg, gen)
     assert "presentation 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("alpha", [10.0, math.inf])
+def test_propagator_divergence_names_presentation(alpha):
+    assert_diverges_at_first_presentation(alpha, 3)
+
+
+@pytest.mark.parametrize("alpha", [10.0, math.inf])
+def test_divergence_names_presentation_at_k6(alpha):
+    assert_diverges_at_first_presentation(alpha, 6)
 
 
 def step_matrix(c, s, h, gamma, alpha, b):
@@ -283,10 +300,11 @@ DEVIATION = np.ix_((0, 1, 3), (0, 1, 3))
 
 def propagator_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
                               rate_const=2.0):
-    """Reference for rate_sleep_run's blocked ode mode: draws, builds and
-    powers each presentation's propagator on its own, then applies it,
-    checking at each presentation in turn for a decay overflow, non-finite
-    rates and non-finite weights."""
+    """A second reference, which rounds otherwise than the shared map:
+    draws, builds and powers each presentation's propagator on its own,
+    applies it to each neuron's (r_i, a_i, z0_i) and rebuilds the weights
+    from a_end, then checks for a decay overflow, non-finite rates and
+    non-finite weights."""
     w, w0 = bundle.weights, bundle.init
     n, d = bundle.n, bundle.d
     ideal = math.isinf(circuit.alpha)
@@ -441,12 +459,6 @@ def map_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
     return traj, nonneg / config.iterations if config.iterations else 1.0
 
 
-def reference_run(d):
-    """The per-presentation reference of the runner that rate_sleep_run
-    takes for D = d."""
-    return map_rate_sleep_run if d <= ss.ratecircuit._MAP_MAX_D else propagator_rate_sleep_run
-
-
 BLOCK = ss.ratecircuit._BLOCK
 
 
@@ -458,10 +470,9 @@ BLOCK = ss.ratecircuit._BLOCK
        k=st.sampled_from([1, 2, 3, 6]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
 def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, warmup,
                                                        iterations, k, n, seed):
-    # the stacked per-block set-up gives the per-presentation bits exactly,
-    # through the shared map (k <= 5) and through the propagator (k = 6)
+    # the stacked per-block set-up gives the per-presentation bits exactly
     runs = []
-    for runner in (ss.rate_sleep_run, reference_run(k * k)):
+    for runner in (ss.rate_sleep_run, map_rate_sleep_run):
         gen = RngStream(seed, (46,)).generator()
         bundle = ss.WeightBundle.from_rng(gen, n, k * k)
         circuit = make_circuit(alpha=alpha)
@@ -488,7 +499,7 @@ def test_blocked_runner_equals_per_presentation_oracle(alpha, plasticity, warmup
        plasticity=st.sampled_from(["continuous", "terminal"]),
        warmup=st.sampled_from([0, 5, BLOCK + 2]),
        iterations=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
-       k=st.sampled_from([1, 2, 3]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+       k=st.sampled_from([1, 2, 3, 6]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
 def test_shared_map_matches_propagator_oracle(alpha, plasticity, warmup, iterations, k, n,
                                               seed):
     # the shared map moves the propagator's bits by rounding only
@@ -517,10 +528,10 @@ def constant_from(start, eta):
     return lambda k: eta if k >= start else 0.0
 
 
-def divergence_outcome(runner, alpha, plasticity, start, eta, gamma, n, seed):
+def divergence_outcome(runner, alpha, plasticity, start, eta, gamma, n, seed, k=3):
     """The DivergenceError text a run raises, or its trajectory's bytes."""
     gen = RngStream(seed, (47,)).generator()
-    bundle = ss.WeightBundle.from_rng(gen, n, 9)
+    bundle = ss.WeightBundle.from_rng(gen, n, k * k)
     cfg = ss.SleepConfig(gamma=gamma, schedule=constant_from(start, eta),
                          iterations=80, alpha=alpha)
     try:
@@ -535,33 +546,52 @@ def divergence_outcome(runner, alpha, plasticity, start, eta, gamma, n, seed):
 @given(alpha=st.sampled_from([10.0, math.inf]),
        plasticity=st.sampled_from(["continuous", "terminal"]),
        start=st.integers(0, 70), log_eta=st.floats(-1.5, 4.5),
-       gamma=st.sampled_from([1e-3, 1.0]), n=st.integers(2, 12), seed=st.integers(0, 2**16))
+       gamma=st.sampled_from([1e-3, 1.0]), n=st.integers(2, 12), seed=st.integers(0, 2**16),
+       k=st.sampled_from([3, 6]))
 # a decay overflow, non-finite rates and non-finite weights, each mid-block
-@example(alpha=10.0, plasticity="continuous", start=40, log_eta=2.0, gamma=1.0, n=6, seed=0)
-@example(alpha=10.0, plasticity="continuous", start=20, log_eta=0.5, gamma=1e-3, n=6, seed=0)
+@example(alpha=10.0, plasticity="continuous", start=40, log_eta=2.0, gamma=1.0, n=6, seed=0,
+         k=3)
+@example(alpha=10.0, plasticity="continuous", start=20, log_eta=0.5, gamma=1e-3, n=6, seed=0,
+         k=3)
 @example(alpha=math.inf, plasticity="continuous", start=45, log_eta=-0.5, gamma=1e-3, n=6,
-         seed=0)
-@example(alpha=10.0, plasticity="terminal", start=0, log_eta=4.0, gamma=1e-3, n=6, seed=0)
+         seed=0, k=3)
+@example(alpha=10.0, plasticity="terminal", start=0, log_eta=4.0, gamma=1e-3, n=6, seed=0,
+         k=3)
+# the same kinds at D = 36
+@example(alpha=10.0, plasticity="continuous", start=40, log_eta=2.0, gamma=1.0, n=6, seed=0,
+         k=6)
+@example(alpha=10.0, plasticity="continuous", start=20, log_eta=0.0, gamma=1e-3, n=6, seed=0,
+         k=6)
+@example(alpha=math.inf, plasticity="continuous", start=45, log_eta=-0.5, gamma=1e-3, n=6,
+         seed=0, k=6)
+@example(alpha=10.0, plasticity="terminal", start=0, log_eta=4.0, gamma=1e-3, n=6, seed=0,
+         k=6)
 def test_blocked_runner_diverges_as_per_presentation_oracle(alpha, plasticity, start, log_eta,
-                                                            gamma, n, seed):
+                                                            gamma, n, seed, k):
     # the once-per-block checks raise the first error the per-presentation
     # checks would, with the same presentation and t
-    args = (alpha, plasticity, start, 10.0 ** log_eta, gamma, n, seed)
+    args = (alpha, plasticity, start, 10.0 ** log_eta, gamma, n, seed, k)
     assert (divergence_outcome(ss.rate_sleep_run, *args)
             == divergence_outcome(map_rate_sleep_run, *args))
 
 
-@pytest.mark.parametrize("alpha,plasticity,start,log_eta,gamma,error", [
-    (10.0, "continuous", 40, 2.0, 1.0, "weight decay factor overflowed [presentation 40]"),
-    (10.0, "continuous", 20, 0.5, 1e-3, "rate dynamics diverged [presentation 34,"),
-    (math.inf, "continuous", 45, -0.5, 1e-3,
+@pytest.mark.parametrize("k,alpha,plasticity,start,log_eta,gamma,error", [
+    (3, 10.0, "continuous", 40, 2.0, 1.0, "weight decay factor overflowed [presentation 40]"),
+    (3, 10.0, "continuous", 20, 0.5, 1e-3, "rate dynamics diverged [presentation 34,"),
+    (3, math.inf, "continuous", 45, -0.5, 1e-3,
      "non-finite weights in rate sleep run [presentation 47]"),
-    (10.0, "terminal", 0, 4.0, 1e-3, "non-finite weights in rate sleep run [presentation 63]"),
+    (3, 10.0, "terminal", 0, 4.0, 1e-3, "non-finite weights in rate sleep run [presentation 63]"),
+    (6, 10.0, "continuous", 40, 2.0, 1.0, "weight decay factor overflowed [presentation 40]"),
+    (6, 10.0, "continuous", 20, 0.0, 1e-3, "rate dynamics diverged [presentation 25,"),
+    (6, math.inf, "continuous", 45, -0.5, 1e-3,
+     "non-finite weights in rate sleep run [presentation 46]"),
+    (6, 10.0, "terminal", 0, 4.0, 1e-3, "non-finite weights in rate sleep run [presentation 55]"),
 ])
-def test_divergence_examples_raise_their_kind(alpha, plasticity, start, log_eta, gamma, error):
+def test_divergence_examples_raise_their_kind(k, alpha, plasticity, start, log_eta, gamma,
+                                              error):
     # the examples above, each written for one of the three checks
     out = divergence_outcome(ss.rate_sleep_run, alpha, plasticity, start, 10.0 ** log_eta,
-                             gamma, 6, 0)
+                             gamma, 6, 0, k)
     assert isinstance(out, str) and out.startswith(error)
 
 
