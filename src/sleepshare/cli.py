@@ -105,8 +105,20 @@ def _list_of(item):
     return parse
 
 
-_float_list = _list_of(_finite)
-_str_list = _list_of(str)
+def _arm(s) -> str:
+    """An arm spec `trainer.parse_arm` reads, kept as written: manifests
+    and file names carry its bytes."""
+    trainer.parse_arm(s)
+    return s
+
+
+def _arm_list(s) -> List[str]:
+    """Arm specs that name each arm once: a second spelling of an arm
+    would train it twice and weigh it twice in the means."""
+    arms = _list_of(_arm)(s)
+    if len({trainer.parse_arm(a) for a in arms}) < len(arms):
+        raise ValueError(f"names an arm more than once, got {s!r}")
+    return arms
 
 
 def _choice(*options):
@@ -126,7 +138,7 @@ SLEEP_IDEAL_SPEC = {
     **COMMON_SPEC,
     "n": (_int_min(2), 100),
     "k": (_list_of(_int_min(1)), [3, 6, 9]),
-    "gamma": (_float_list, [1e-2, 1e-3]),
+    "gamma": (_list_of(_positive), [1e-2, 1e-3]),
     "iters": (_int_min(0), 2000),
     "seeds": (_int_min(1), 10),
     "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
@@ -147,15 +159,16 @@ SLEEP_IDEAL_SPEC = {
 SLEEP_RATE_SPEC = {
     **{k: v for k, v in SLEEP_IDEAL_SPEC.items() if k not in ("momentum", "sigma")},
     "alpha": (_positive_or_inf, 10.0),
-    "tau_ms": (_finite, 30.0),
-    "dt_ms": (_finite, 1.0),
-    "present_ms": (_finite, 150.0),
+    "tau_ms": (_positive, 30.0),
+    "dt_ms": (_positive, 1.0),
+    "present_ms": (_positive, 150.0),
     "iters": (_int_min(0), 10000),
     # one value: the key stays only while the benchmark's calls
     # (perfbench/workloads.py) pass --mode ode
     "mode": (_choice("ode"), "ode"),
     "plasticity": (_choice("continuous", "terminal"), "continuous"),
-    "rate_const": (_finite, 2.0),
+    # a negative gain would flip the anti-Hebbian rule to Hebbian
+    "rate_const": (_nonneg, 2.0),
     "bias": (_finite, 1.0),
     "schedule": (_choice(*Schedule.KINDS), "inverse_sqrt"),
     "eta_a": (_positive, 3e-4),
@@ -169,7 +182,7 @@ FIXED_POINT_SPEC = {
     "n_max": (_int_min(2), 20),
     "d_max": (_int_min(2), 16),
     "m_factor": (_int_min(1), 2),
-    "gamma": (_float_list, [1e-1, 1e-3]),
+    "gamma": (_list_of(_finite), [1e-1, 1e-3]),
     "alpha": (_positive_or_inf, 10.0),
     "tol": (_positive, 1e-4),
 }
@@ -197,7 +210,7 @@ NOISE_FLOOR_SPEC = {
 
 TRAIN_SPEC = {
     **COMMON_SPEC,
-    "arm": (str, "lc"),
+    "arm": (_arm, "lc"),
     "train_size": (_int_min(1), 512),
     "test_size": (_int_min(1), 2048),
     # a 5x5 glyph fits, and one 2x2 pool runs between the layers
@@ -216,7 +229,7 @@ TRAIN_SPEC = {
 
 COMPARE_SPEC = {
     **TRAIN_SPEC,
-    "arms": (_str_list, ["conv", "lc", "lc-reps:16", "lc-ws:1"]),
+    "arms": (_arm_list, ["conv", "lc", "lc-reps:16", "lc-ws:1"]),
     "seeds": (_int_min(1), 3),
 }
 COMPARE_SPEC.pop("arm")
@@ -455,8 +468,6 @@ def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
              for s in range(cfg["seeds"])]
     _reject_collisions(cells, [_sleep_stream(*c) for c in cells],
                        [_sleep_traj_name(*c) for c in cells])
-    if not all(g > 0 for g in cfg["gamma"]):
-        raise UsageError(f"every gamma must be > 0, got {_fmt_value(cfg['gamma'])}")
 
     if rate:
         units = [[cell] for cell in cells]
@@ -478,10 +489,8 @@ def cmd_sleep_ideal(cfg, out: RunDir) -> int:
 
 
 def cmd_sleep_rate(cfg, out: RunDir) -> int:
-    if not (math.isfinite(cfg["rate_const"]) and cfg["rate_const"] >= 0):
-        # a negative gain would flip the anti-Hebbian rule to Hebbian
-        raise UsageError(f"rate_const must be finite and >= 0, got {cfg['rate_const']}")
-    # constructing a circuit validates its constants, dt <= tau/10 and present_ms/dt
+    # a circuit checks what spans its keys: dt <= tau/10, and present_ms a
+    # multiple of dt
     try:
         _circuit(cfg)
     except ValueError as e:
@@ -639,10 +648,7 @@ def _idx_image_side(cfg) -> int:
 def _arm_kwargs(cfg, arm_spec: str, image: int) -> Dict[str, object]:
     """`trainer.run_experiment`'s keywords for one arm spec, the spec
     checked against the batch and layer sizes before any run starts."""
-    try:
-        arm, param = trainer.parse_arm(arm_spec)
-    except ValueError as e:
-        raise UsageError(str(e))
+    arm, param = trainer.parse_arm(arm_spec)
     if arm == "lc-reps" and cfg["batch_size"] % param:
         raise UsageError(f"{arm_spec}: reps ({param}) must divide the batch size "
                          f"({cfg['batch_size']})")
@@ -673,10 +679,6 @@ def cmd_compare(cfg, out: RunDir) -> int:
     arms = cfg["arms"]
     image = _idx_image_side(cfg)
     runs = {a: _arm_kwargs(cfg, a, image) for a in arms}
-    if len({trainer.parse_arm(a) for a in arms}) < len(arms):
-        # a second run of an arm, under any spelling, would train it twice
-        # and weigh it twice in the means
-        raise UsageError(f"--arms names an arm more than once: {','.join(arms)}")
     cells = [(a, s) for a in arms for s in range(cfg["seeds"])]
 
     def run(cell):

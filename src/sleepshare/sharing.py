@@ -63,7 +63,6 @@ __all__ = [
     "neg_log_snr_floor",
     "fixed_point",
     "full_batch_descent",
-    "descent_step_cap",
     "instant_share",
     "share_kernel_grid_means",
     "kernel_grid_neg_log_snr",
@@ -453,13 +452,6 @@ def fixed_point(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
     return solve_spd(cov + gamma * np.eye(d), rhs).T
 
 
-def descent_step_cap(inputs: np.ndarray, gamma: float) -> float:
-    """Step size guaranteeing contraction of the full-batch iteration."""
-    cov = _empirical_cov(inputs)
-    lam = float(np.linalg.eigvalsh(cov)[-1])
-    return 1.0 / (lam + gamma)
-
-
 def _averaged_gradient(w: np.ndarray, w0: np.ndarray, cov: np.ndarray, c: float,
                        gamma: float) -> np.ndarray:
     """Gradient of the averaged objective at w, anchored at w0, with
@@ -478,15 +470,16 @@ _DESCENT_MAX_ITERS = 200_000
 def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
                        alpha: float = math.inf) -> np.ndarray:
     """Deterministic descent of the averaged objective over a fixed input
-    set, at the step size `descent_step_cap`; converges to the
-    corresponding closed-form fixed point. w_init is one (N, D) group or
-    an (S, N, D) stack of groups, all driven by the same inputs (the stop
-    test then covers the whole stack)."""
+    set, at the step size 1 / (largest covariance eigenvalue + gamma),
+    which contracts; converges to the corresponding closed-form fixed
+    point. w_init is one (N, D) group or an (S, N, D) stack of groups,
+    all driven by the same inputs (the stop test then covers the whole
+    stack)."""
     w = np.asarray(w_init, dtype=np.float64).copy()
     w0 = w.copy()
     cov = _empirical_cov(inputs)
     c = bias_coefficient(alpha)
-    eta = descent_step_cap(inputs, gamma)
+    eta = 1.0 / (float(np.linalg.eigvalsh(cov)[-1]) + gamma)
     scale = max(1.0, float(np.abs(w).max()))
     for _ in range(_DESCENT_MAX_ITERS):
         grad = _averaged_gradient(w, w0, cov, c, gamma)

@@ -55,7 +55,6 @@ __all__ = [
     "grid_slices",
     "generate_pattern",
     "padded_windows",
-    "receptive_field",
     "kaiming_std",
 ]
 
@@ -347,10 +346,3 @@ def generate_pattern(base: np.ndarray, grid_index: int, height: int, width: int)
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
     return base[(ys - g1) % k, (xs - g2) % k]
-
-
-def receptive_field(layer, x: np.ndarray, y: int, xpos: int) -> np.ndarray:
-    """The (in_ch, k, k) input patch seen by output position (y, xpos)."""
-    x = _check_input(layer, x)
-    win = padded_windows(x, layer.kernel, layer.pad, layer.padding_mode)
-    return win[:, y, xpos]

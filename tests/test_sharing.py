@@ -217,10 +217,18 @@ def test_fixed_points_are_stationary_under_descent(seed, n, d, m, gamma, alpha):
     assert np.linalg.norm(grad) <= 1e-12 * scale
 
 
-def test_descent_step_cap_positive():
-    x = np.random.default_rng(7).normal(1, 1, (20, 4))
-    cap = ss.descent_step_cap(x, 0.1)
-    assert 0 < cap < 1.0
+def test_descent_step_contracts(monkeypatch):
+    # full_batch_descent's step, 1 / (largest covariance eigenvalue +
+    # gamma), takes every iterate strictly closer to the fixed point
+    rng = np.random.default_rng(7)
+    x = rng.normal(1, 1, (20, 4))
+    w0 = rng.normal(1, 1, (5, 4))
+    w_star = ss.fixed_point(w0, x, 0.1)
+    dists = [np.linalg.norm(w0 - w_star)]
+    for steps in range(1, 6):
+        monkeypatch.setattr(sharing, "_DESCENT_MAX_ITERS", steps)
+        dists.append(np.linalg.norm(ss.full_batch_descent(w0, x, 0.1) - w_star))
+    assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
 def test_share_grid_means_hand_case():

@@ -9,8 +9,7 @@ from sleepshare.errors import ShapeError
 from sleepshare.sharing import instant_share
 from sleepshare.topology import (ConvLayer, LocalLayer, conv_forward,
                                  generate_pattern, grid_slices, kaiming_std,
-                                 lc_forward, padded_windows, receptive_field,
-                                 tie_lc_to_conv)
+                                 lc_forward, padded_windows, tie_lc_to_conv)
 
 
 def test_lc_zero_input_zero_output():
@@ -200,7 +199,8 @@ def test_receptive_field_matches_forward():
     rng = np.random.default_rng(15)
     layer = LocalLayer.kaiming(np.random.default_rng(16), 2, 1, 5, 5, 3)
     x = rng.normal(size=(2, 5, 5))
-    patch = receptive_field(layer, x, 2, 3)
+    # the (in_ch, k, k) input patch that output position (2, 3) sees
+    patch = padded_windows(x, layer.kernel, layer.pad, layer.padding_mode)[:, 2, 3]
     out = lc_forward(layer, x)
     assert abs(float((layer.weights[2, 3, 0] * patch).sum()) - out[0, 2, 3]) < 1e-12
 
