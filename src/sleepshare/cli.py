@@ -121,6 +121,17 @@ def _arm_list(s) -> List[str]:
     return arms
 
 
+def _keyed(parse):
+    """parse, for a value that keys its cells' RNG streams: its
+    `_gamma_key` must be finite."""
+    def keyed(s):
+        v = parse(s)
+        if not math.isfinite(v * 1e9):
+            raise ValueError(f"must be at most {sys.float_info.max / 1e9:.6g}, got {s!r}")
+        return v
+    return keyed
+
+
 def _choice(*options):
     def parse(s):
         if str(s) not in options:
@@ -130,7 +141,8 @@ def _choice(*options):
 
 
 COMMON_SPEC = {
-    "seed": (int, 0),
+    # numpy's SeedSequence takes no negative entropy
+    "seed": (_int_min(0), 0),
     "jobs": (_int_min(1), 1),
 }
 
@@ -138,7 +150,7 @@ SLEEP_IDEAL_SPEC = {
     **COMMON_SPEC,
     "n": (_int_min(2), 100),
     "k": (_list_of(_int_min(1)), [3, 6, 9]),
-    "gamma": (_list_of(_positive), [1e-2, 1e-3]),
+    "gamma": (_list_of(_keyed(_positive)), [1e-2, 1e-3]),
     "iters": (_int_min(0), 2000),
     "seeds": (_int_min(1), 10),
     "schedule": (_choice(*Schedule.KINDS), "inverse_time"),
@@ -193,7 +205,7 @@ NOISE_FLOOR_SPEC = {
     "d": (_int_min(1), 9),
     "m": (_int_min(1), 18),
     "gamma": (_positive, 10.0),
-    "sigma": (_list_of(_nonneg), [0.1, 0.2, 0.4]),
+    "sigma": (_list_of(_keyed(_nonneg)), [0.1, 0.2, 0.4]),
     "seeds": (_int_min(1), 10),
     "a": (_positive, 16.0),
     "b": (_positive, 200.0),
@@ -203,7 +215,9 @@ NOISE_FLOOR_SPEC = {
     # the log-log fit needs two points: sharing.loglog_slope's window
     "slope_iters": (_int_min(3), 3000),
     "w_init_mean": (_finite, 0.0),
-    "w_init_std": (_nonneg, 1.0),
+    # a zero spread starts every slope cell at its fixed point, where the
+    # log-log fit would take log 0
+    "w_init_std": (_positive, 1.0),
     "input_mean": (_finite, 1.0),
     "input_std": (_nonneg, 1.0),
 }
@@ -523,7 +537,12 @@ def cmd_fixed_point(cfg, out: RunDir) -> int:
         for j, alpha in enumerate(alphas):
             w_solve = sharing.fixed_point(w0, x, gamma, alpha=alpha)
             w_desc = sharing.full_batch_descent(w0, x, gamma, alpha=alpha)
-            rel = float(np.linalg.norm(w_desc - w_solve) / np.linalg.norm(w_solve))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                rel = float(np.linalg.norm(w_desc - w_solve) / np.linalg.norm(w_solve))
+            if not math.isfinite(rel):
+                # a fixed point whose norm underflows to 0 or overflows
+                raise DivergenceError("relative error of the descent is not finite",
+                                      f"instance {i}, gamma={gamma:g}, alpha={alpha:g}")
             worst[j] = max(worst[j], rel)
     worst_plain, worst_biased = worst
     report.append(f"instances={cfg['instances']}")
@@ -581,7 +600,12 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
     slope_runs, files = run([(0.0, s) for s in slope_cells],
                             cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"])
     _write_files(out, files)
-    slopes = [sharing.loglog_slope(res.dist_sq) for res in slope_runs]
+    slopes = []
+    for s, res in enumerate(slope_runs):
+        try:
+            slopes.append(sharing.loglog_slope(res.dist_sq))
+        except DivergenceError as e:
+            raise DivergenceError(str(e), f"sigma=0, seed={s}") from e
     out.write_csv("slopes.csv", "seed,loglog_slope",
                   [(s, sl) for s, sl in enumerate(slopes)])
 
@@ -599,6 +623,10 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
     prev = None
     for sig, plats in zip(cfg["sigma"], plateaus):
         mean_plat = float(np.mean(plats))
+        if not 0 < mean_plat < math.inf:
+            # the ratio to this plateau would divide by it
+            raise DivergenceError(f"plateau mean {mean_plat:g} is not > 0 and finite",
+                                  f"sigma={sig:g}")
         ratio = "" if prev is None else f"{mean_plat / prev:.6g}"
         summary.append((f"{sig:g}", f"{mean_plat:.12g}", ratio))
         if prev is not None:
@@ -781,6 +809,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     out = RunDir(Path(args.out) if args.out else Path("runs") / sub)
+    # the nearest existing ancestor: the run would make the directory there
+    there = next(p for p in (out.path, *out.path.parents) if p.exists())
+    if not there.is_dir():
+        print(f"error: cannot make the run directory {out.path}: {there} is a file",
+              file=sys.stderr)
+        return EXIT_USAGE
     handler = {
         "sleep-ideal": cmd_sleep_ideal,
         "sleep-rate": cmd_sleep_rate,

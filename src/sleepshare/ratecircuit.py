@@ -125,8 +125,9 @@ class RateCircuit:
         if self.present_ms <= 0:
             raise ValueError(f"present_ms must be > 0, got {self.present_ms}")
         steps = self.present_ms / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"present_ms ({self.present_ms}) must be a multiple of dt ({self.dt})")
+        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+            raise ValueError(f"present_ms ({self.present_ms}) must be a positive multiple "
+                             f"of dt ({self.dt})")
 
     @property
     def steps_per_presentation(self) -> int:

@@ -390,9 +390,9 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
         xs = np.empty((s, min(_DRAW_BLOCK, config.iterations), d))
     velocity = None
     traj = np.empty((s, config.iterations))
-    initial = neg_log_snr(stack.weights)
     # DivergenceError reports a blow-up; numpy's warnings would bury it
     with np.errstate(over="ignore", invalid="ignore"):
+        initial = neg_log_snr(stack.weights)
         for k in range(config.iterations):
             if noisy:
                 for i, gen in enumerate(rngs):
@@ -635,31 +635,38 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
     deterministic (all M inputs each step), so with sigma = 0 the
     distance contracts at the 1/k envelope of the schedule; sigma > 0
     injects fresh per-neuron-per-input noise whose variance sets the
-    plateau. W* is the noiseless fixed point.
+    plateau. W* is the noiseless fixed point. A covariance that
+    overflows raises DivergenceError, as do non-finite weights.
     """
     gens = [r.generator() for r in rngs]
     w_init, x = [], []
     for gen in gens:
         w_init.append(gen.normal(w_init_mean, w_init_std, size=(n, d)))
         x.append(gen.normal(input_mean, input_std, size=(m, d)))
-    w_star = np.stack([fixed_point(w0, xs, gamma) for w0, xs in zip(w_init, x)])
     w_init, x = np.stack(w_init), np.stack(x)
-    cov = x.transpose(0, 2, 1) @ x / m
-    w = w_init.copy()
-    dist_sq = np.empty((len(gens), iterations))
-    for k in range(iterations):
-        eta = a / (b + k)
-        if sigma > 0:
-            xi = np.stack([x[i][None, :, :] + sigma * gen.standard_normal((n, m, d))
-                           for i, gen in enumerate(gens)])
-            z = np.einsum("snd,snmd->snm", w, xi)
-            upd = np.einsum("snm,snmd->snd", z - z.mean(axis=1, keepdims=True), xi) / m
-            w -= eta * (upd + gamma * (w - w_init))
-        else:
-            w -= eta * _averaged_gradient(w, w_init, cov, 1.0, gamma)
-        _check_finite(w, "noise-floor run", k)
-        diff = w - w_star
-        dist_sq[:, k] = np.add.reduce((diff * diff).reshape(len(gens), -1), axis=1)
+    # DivergenceError reports a blow-up; numpy's warnings would bury it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = x.transpose(0, 2, 1) @ x / m
+        if not np.isfinite(cov).all():
+            cell = int(np.argmin(np.isfinite(cov).all(axis=(1, 2))))
+            raise DivergenceError("non-finite input covariance in noise-floor run",
+                                  f"cell {cell}", cell=cell)
+        w_star = np.stack([fixed_point(w0, xs, gamma) for w0, xs in zip(w_init, x)])
+        w = w_init.copy()
+        dist_sq = np.empty((len(gens), iterations))
+        for k in range(iterations):
+            eta = a / (b + k)
+            if sigma > 0:
+                xi = np.stack([x[i][None, :, :] + sigma * gen.standard_normal((n, m, d))
+                               for i, gen in enumerate(gens)])
+                z = np.einsum("snd,snmd->snm", w, xi)
+                upd = np.einsum("snm,snmd->snd", z - z.mean(axis=1, keepdims=True), xi) / m
+                w -= eta * (upd + gamma * (w - w_init))
+            else:
+                w -= eta * _averaged_gradient(w, w_init, cov, 1.0, gamma)
+            _check_finite(w, "noise-floor run", k)
+            diff = w - w_star
+            dist_sq[:, k] = np.add.reduce((diff * diff).reshape(len(gens), -1), axis=1)
     tail = max(1, iterations // 5)
     return [NoiseFloorResult(dist_sq=dsq, w_star=ws, plateau=float(dsq[-tail:].mean()))
             for dsq, ws in zip(dist_sq, w_star)]
@@ -667,10 +674,16 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
 
 def loglog_slope(dist_sq: np.ndarray) -> float:
     """Log-log slope of a decay trajectory over its mid-range, from a
-    tenth to a half of it."""
+    tenth to a half of it. A distance in that range that is 0 (the
+    fixed point reached, or underflow) or not finite has no logarithm:
+    DivergenceError."""
     kmax = len(dist_sq)
     lo = max(1, int(0.1 * kmax))
     hi = max(lo + 2, int(0.5 * kmax))
+    window = dist_sq[lo:hi]
+    if not ((window > 0) & (window < math.inf)).all():
+        raise DivergenceError("a log-log slope needs distances > 0 and finite",
+                              f"iterations {lo + 1} to {hi}")
     # entry i holds the value after update i + 1
     ks = np.arange(lo, hi) + 1.0
-    return float(np.polyfit(np.log(ks), np.log(dist_sq[lo:hi]), 1)[0])
+    return float(np.polyfit(np.log(ks), np.log(window), 1)[0])

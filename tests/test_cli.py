@@ -40,6 +40,18 @@ def read_manifest(path):
 SMALL_SLEEP = ["--k", "3", "--gamma", "1e-2", "--seeds", "1", "--iters", "20"]
 TINY_TRAIN = ["--train-size", "32", "--test-size", "16", "--image", "8",
               "--channels", "2", "--epochs", "2", "--batch-size", "16"]
+# every subcommand at sizes where a run takes milliseconds
+TINY = {
+    "sleep-ideal": ["--n", "4", "--k", "2", "--gamma", "1e-2", "--seeds", "1", "--iters", "3"],
+    "sleep-rate": ["--n", "4", "--k", "2", "--gamma", "1e-2", "--seeds", "1", "--iters", "3"],
+    "fixed-point": ["--instances", "2", "--n-max", "3", "--d-max", "3"],
+    "noise-floor": ["--n", "3", "--d", "2", "--m", "3", "--seeds", "1", "--iters", "3",
+                    "--slope-iters", "6"],
+    "train": ["--arm", "lc", "--train-size", "8", "--test-size", "4", "--image", "6",
+              "--channels", "1", "--epochs", "1", "--batch-size", "4"],
+    "compare": ["--arms", "conv", "--seeds", "1", "--train-size", "8", "--test-size", "4",
+                "--image", "6", "--channels", "1", "--epochs", "1", "--batch-size", "4"],
+}
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -427,6 +439,15 @@ def test_errors_survive_pickling(err):
     assert vars(back) == vars(err)
 
 
+@pytest.mark.parametrize("below", ["", "run"])
+def test_out_under_a_file_exits_2_before_work(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert run("noise-floor", "--out", str(taken / below)) == cli.EXIT_USAGE
+    assert taken.read_text() == "keep\n"
+    assert capsys.readouterr().out == ""  # no cell ran
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert run("sleep-ideal", "--granularity", "9") == cli.EXIT_USAGE
 
@@ -478,11 +499,45 @@ def test_rejects_non_finite_config_and_replay_values(tmp_path):
     assert not out.exists()
 
 
+def test_rejects_negative_seed_from_config_and_replay(tmp_path):
+    # numpy's SeedSequence takes no negative entropy
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed=-1\n")
+    out = tmp_path / "o"
+    assert run("train", "--config", str(cfgfile), "--out", str(out)) == cli.EXIT_USAGE
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("subcommand=fixed-point\nseed=-1\n")
+    assert run("fixed-point", "--replay", str(manifest), "--out", str(out)) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["sleep-ideal", "sleep-rate"])
 def test_alpha_inf_is_accepted(tmp_path, sub):
     out = tmp_path / "o"
     assert run(sub, *SMALL_SLEEP, "--alpha", "inf", "--out", str(out)) == 0
     assert read_manifest(out / "manifest.txt")["cfg.alpha"] == "inf"
+
+
+NUMERICAL_FAILURES = {
+    "noise-floor --w-init-std 1e-300": "[iterations 2 to 3] [sigma=0, seed=0]",
+    "noise-floor --input-std 1e300": "input covariance",
+    "noise-floor --gamma 1e300": "non-finite weights",
+    "noise-floor --b 1e-300": "plateau mean inf",
+    "fixed-point --gamma 1e-300": "[instance 0, gamma=1e-300, alpha=10]",
+}
+
+
+@pytest.mark.parametrize("argv", NUMERICAL_FAILURES)
+def test_numerical_failures_exit_3_with_the_manifest(tmp_path, capfd, argv):
+    # each overflows or underflows: no traceback and no RuntimeWarning
+    # (the suite makes one an error), one line that says where
+    sub, *flags = argv.split()
+    out = tmp_path / "o"
+    assert run(sub, *TINY[sub], *flags, "--out", str(out)) == cli.EXIT_DIVERGENCE
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert NUMERICAL_FAILURES[argv] in err[0]
+    assert (out / "manifest.txt").exists()
 
 
 def test_rate_decay_overflow_names_presentation(tmp_path, capfd):
@@ -564,6 +619,14 @@ def test_module_entry_point(tmp_path):
     ["sleep-ideal", "--momentum", "1.5"],
     ["sleep-ideal", "--momentum", "1"],
     ["sleep-ideal", "--momentum", "-0.1"],
+    ["sleep-ideal", "--seed", "-1"],
+    ["compare", "--seed", "-1"],
+    ["sleep-ideal", "--gamma", "1e-2,1e300"],
+    ["sleep-rate", "--gamma", "1e300"],
+    ["noise-floor", "--sigma", "0.1,1e300"],
+    ["noise-floor", "--w-init-std", "0"],
+    ["sleep-rate", "--present-ms", "1e-300"],
+    ["sleep-rate", "--tau-ms", "-30"],
 ], ids=lambda argv: " ".join(argv))
 def test_rejects_sweep_sizes_below_bound(tmp_path, argv):
     out = tmp_path / "o"
@@ -718,3 +781,39 @@ def test_subcommands_import_nothing_after_start_up(tmp_path):
     assert [m for m in new if m.split(".")[0] in ("numpy", "sleepshare")] == []
     # argparse's gettext loads the stdlib locale
     assert set(new) <= {"locale", "_locale"}, new
+
+
+# Every key of every subcommand, at tiny sizes, with each probe value in
+# place of its own: an accepted value runs to a result (0) or a reported
+# failure (3, 4) that keeps the manifest, a refused one exits 2 and
+# leaves no run directory, and none raises or warns (the suite makes a
+# RuntimeWarning an error). The largest integer probe is 2, so --jobs
+# starts at most 2 workers.
+WALK_PROBES = ["-1", "-0.5", "0", "0.5", "1", "2", "1e-300", "1e300", "3,3"]
+
+
+@pytest.mark.parametrize("sub,key", [(sub, key) for sub, spec in cli.SPECS.items()
+                                     for key in spec])
+def test_walk_specs(tmp_path, capfd, sub, key):
+    failures = []
+    for i, probe in enumerate(WALK_PROBES):
+        out = tmp_path / f"p{i}"
+        argv = [sub, *TINY[sub], f"--{key.replace('_', '-')}", probe, "--out", str(out)]
+        try:
+            code = run(*argv)
+        except Exception as e:
+            failures.append((probe, f"{type(e).__name__}: {e}"))
+            continue
+        kept = (out / "manifest.txt").exists()
+        if code not in (0, 2, 3, 4) or out.exists() != (code != 2) or kept != (code != 2):
+            failures.append((probe, code, out.exists(), kept))
+    capfd.readouterr()
+    assert failures == []
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SPECS))
+def test_defaults_round_trip(sub):
+    # a manifest records each value as _fmt_value writes it; replay must
+    # read the same value back
+    for key, (parse, default) in cli.SPECS[sub].items():
+        assert parse(cli._fmt_value(default)) == default, key

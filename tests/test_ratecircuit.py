@@ -28,7 +28,8 @@ def test_constructor_validation():
         make_circuit(present_ms=151.5)
     for bad in (dict(present_ms=0.0), dict(present_ms=-150.0),
                 dict(present_ms=math.inf), dict(tau=math.nan), dict(tau=math.inf),
-                dict(b=math.nan), dict(dt=math.nan)):
+                dict(b=math.nan), dict(dt=math.nan),
+                dict(present_ms=1e-300)):  # a presentation of no Euler step
         with pytest.raises(ValueError):
             make_circuit(**bad)
 

@@ -373,6 +373,14 @@ def test_loglog_slope_recovers_power_law():
     assert abs(ss.loglog_slope(5.0 / k) + 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_loglog_slope_refuses_a_distance_without_a_logarithm(value):
+    dist_sq = 5.0 / np.arange(1, 21, dtype=float)
+    dist_sq[5] = value
+    with pytest.raises(DivergenceError):
+        ss.loglog_slope(dist_sq)
+
+
 def test_bundle_shape_error():
     with pytest.raises(ShapeError):
         ss.WeightBundle(np.ones((3, 4)), np.ones((4, 3)))
