@@ -7,6 +7,15 @@ the manifest; --replay points at a previous manifest and reruns it.
 
 Exit codes: 0 success, 2 usage error, 3 numerical divergence or
 singularity, 4 tolerance breach.
+
+--jobs N runs work on up to N forked workers. `sleep-rate` and
+`compare` cells are units of their own. `sleep-ideal` runs the cells of
+one k, and `noise-floor` the plateau cells of one sigma, as one stack:
+with one job each stack runs whole, and with more `_balance` splits the
+stacks among the workers by their estimated cost, longest first, and
+each worker runs its cells of a stack as one stack. A cell's result
+does not depend on its stack or its worker, and files are written in
+cell order, so the output is byte for byte that of one job.
 """
 
 from __future__ import annotations
@@ -358,7 +367,18 @@ def _csv_cell(v) -> str:
 
 
 def _csv_text(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(_csv_cell(v) for v in row) for row in rows]) + "\n"
+    """header and rows as CSV text, each value as `_csv_cell` writes it.
+    Rows of one length whose columns each hold values of one type take
+    one %-format for the whole file (%.12g and %s write what `_csv_cell`
+    does); any other rows are written value by value."""
+    rows = list(rows)
+    types = [set(map(type, column)) for column in zip(*rows)]
+    if len(set(map(len, rows))) == 1 and all(len(t) == 1 for t in types):
+        fmt = ",".join("%.12g" if issubclass(t.pop(), float) else "%s" for t in types)
+        lines = [fmt % tuple(row) for row in rows]
+    else:
+        lines = [",".join(_csv_cell(v) for v in row) for row in rows]
+    return "\n".join([header, *lines, ""])
 
 
 def _write_files(out: RunDir, files) -> None:
@@ -397,6 +417,84 @@ def _run_cells(cells, fn, jobs: int):
         _POOL_WORK = None
 
 
+def _balance(sizes: Sequence[int], cost, workers: int) -> List[List[int]]:
+    """How many cells of each stack each worker runs, shares[w][i], for
+    stacks of the given sizes, where cost(i, c) is the time of c cells
+    of stack i run as one stack. Whole stacks go first, longest first,
+    each to the least-loaded worker (LPT); then one cell at a time moves
+    from the most-loaded worker to the least-loaded one, the move that
+    leaves the longer of the two shortest, while that shortens it."""
+    shares = [[0] * len(sizes) for _ in range(workers)]
+
+    def load(share):
+        return sum(cost(i, c) for i, c in enumerate(share) if c)
+
+    for i in sorted(range(len(sizes)), key=lambda i: -cost(i, sizes[i])):
+        min(shares, key=load)[i] = sizes[i]
+    while True:
+        hi, lo = max(shares, key=load), min(shares, key=load)
+        longest, best = load(hi), None
+        for i in range(len(sizes) if hi is not lo else 0):
+            if hi[i]:
+                hi[i] -= 1
+                lo[i] += 1
+                after = max(load(hi), load(lo))
+                hi[i] += 1
+                lo[i] -= 1
+                if after < longest:
+                    longest, best = after, i
+        if best is None:
+            return shares
+        hi[best] -= 1
+        lo[best] += 1
+
+
+def _run_stacks(stacks, cost, fn, jobs: int):
+    """The results of every cell of the stacks (lists of cells), in
+    order, where fn(cells) runs cells of one stack as one stack and
+    returns one result per cell. With one job each stack runs whole.
+    With more, `_balance` splits the stacks among the workers, and each
+    worker runs its cells of a stack as one stack: a cell's result does
+    not depend on its stack, so the results are those of one job. A
+    failure raises the error of the first sub-stack in cell order that
+    failed."""
+    workers = min(jobs, sum(map(len, stacks)))
+    if workers <= 1:
+        return [r for cells in stacks for r in fn(cells)]
+    shares = _balance([len(cells) for cells in stacks], cost, workers)
+    taken = [0] * len(stacks)
+    plans = []
+    for share in shares:
+        plan = []
+        for i, c in enumerate(share):
+            if c:
+                plan.append(stacks[i][taken[i]:taken[i] + c])
+                taken[i] += c
+        if plan:
+            plans.append(plan)
+
+    def run_plan(plan):
+        results = []
+        for cells in plan:
+            try:
+                results.append(fn(cells))
+            except (DivergenceError, SingularMatrixError) as e:
+                results.append(e)
+        return results
+
+    order = [cell for cells in stacks for cell in cells]
+    by_cell, failed = {}, {}
+    for plan, results in zip(plans, _run_cells(plans, run_plan, workers)):
+        for cells, res in zip(plan, results):
+            if isinstance(res, Exception):
+                failed[order.index(cells[0])] = res
+            else:
+                by_cell.update(zip(cells, res))
+    if failed:
+        raise failed[min(failed)]
+    return [by_cell[cell] for cell in order]
+
+
 def _schedule_from_cfg(cfg) -> Schedule:
     return Schedule(kind=cfg["schedule"], a=cfg["eta_a"], b=cfg["eta_b"],
                     warmup=cfg["warmup"])
@@ -430,7 +528,7 @@ def _sleep_traj_name(k: int, gamma: float, seed_idx: int) -> str:
 
 
 def _sleep_cells(cfg, cells, rate: bool):
-    """Runs cells of one k and returns their summary rows and their
+    """Runs cells of one k and returns, per cell, its summary row and its
     trajectory files, as (name, text) pairs. Idealized cells run as one
     stack through the idealized runner; rate cells run through the
     circuit one at a time."""
@@ -456,19 +554,21 @@ def _sleep_cells(cfg, cells, rate: bool):
     except DivergenceError as e:
         k, gamma, seed_idx = cells[e.cell or 0]
         raise DivergenceError(str(e), f"k={k}, gamma={gamma:g}, seed={seed_idx}") from e
-    rows, files = [], []
+    out = []
     for (k, gamma, seed_idx), result in zip(cells, results):
         name = _sleep_traj_name(k, gamma, seed_idx)
+        files = []
         if cfg["iters"] > 0:
             files.append((name, _csv_text(
                 "iteration,neg_log_snr,grid",
-                [(i, float(v), -1) for i, v in enumerate(result.trajectory)])))
+                [(i, v, -1) for i, v in enumerate(result.trajectory.tolist())])))
             if rate:
                 files.append((name.replace(".csv", ".meta"),
-                              f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\ndt_ms={cfg['dt_ms']}\n"
+                              f"alpha={cfg['alpha']}\ntau_ms={cfg['tau_ms']}\n"
+                              f"dt_ms={cfg['dt_ms']}\n"
                               f"frac_nonneg={_csv_cell(result.frac_nonneg)}\n"))
-        rows.append((k, gamma, seed_idx, result.terminal))
-    return rows, files
+        out.append(((k, gamma, seed_idx, result.terminal), files))
+    return out
 
 
 def _circuit(cfg) -> ratecircuit.RateCircuit:
@@ -477,22 +577,38 @@ def _circuit(cfg) -> ratecircuit.RateCircuit:
                                    present_ms=cfg["present_ms"])
 
 
+# Seconds per iteration of a stacked run: a fixed part, and a part per
+# weight of each cell (sleep-ideal: n k^2) or per noisy input value
+# (noise-floor plateaus: n m d). Measured on a 2-core x86 machine (numpy
+# 2.4.6, OpenBLAS 0.3.31); only their ratios steer `_balance`.
+_SLEEP_STEP_S, _SLEEP_WEIGHT_S = 35e-6, 5e-9
+_PLATEAU_STEP_S, _PLATEAU_INPUT_S = 50e-6, 19e-9
+
+
 def _cmd_sleep(cfg: Dict[str, object], out: RunDir, rate: bool) -> int:
     cells = [(k, g, s) for k in cfg["k"] for g in cfg["gamma"]
              for s in range(cfg["seeds"])]
     _reject_collisions(cells, [_sleep_stream(*c) for c in cells],
                        [_sleep_traj_name(*c) for c in cells])
 
+    def run(unit):
+        return _sleep_cells(cfg, unit, rate)
+
     if rate:
-        units = [[cell] for cell in cells]
+        results = [r for unit in _run_cells([[cell] for cell in cells], run, cfg["jobs"])
+                   for r in unit]
     else:
         # one stack per k: its cells share the weight shape (n, k*k)
-        units = [[cell for cell in cells if cell[0] == k] for k in cfg["k"]]
+        stacks = [[cell for cell in cells if cell[0] == k] for k in cfg["k"]]
+
+        def cost(i, count):
+            size = cfg["n"] * stacks[i][0][0] ** 2
+            return cfg["iters"] * (_SLEEP_STEP_S + count * size * _SLEEP_WEIGHT_S)
+        results = _run_stacks(stacks, cost, run, cfg["jobs"])
     summary = []
-    for rows, files in _run_cells(units, lambda unit: _sleep_cells(cfg, unit, rate),
-                                  cfg["jobs"]):
+    for (k, g, s, term), files in results:
         _write_files(out, files)
-        summary += [(k, g, s, term, sharing.neg_log_snr_floor(g)) for (k, g, s, term) in rows]
+        summary.append((k, g, s, term, sharing.neg_log_snr_floor(g)))
     out.write_csv("summary.csv",
                   "k,gamma,seed,terminal_neg_log_snr,neg_log_snr_floor", summary)
     return EXIT_OK
@@ -580,8 +696,8 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
                        [_sigma_traj_name(*c) for c in cells])
 
     def run(cells, a, b, iters):
-        """The cells of one sigma as one stack: their results and their
-        trajectory files."""
+        """The cells of one sigma as one stack: per cell, its result and
+        its trajectory file."""
         sig = cells[0][0]
         try:
             results = sharing.noise_floor_run(
@@ -592,16 +708,15 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
         except DivergenceError as e:
             _, s = cells[e.cell]
             raise DivergenceError(str(e), f"sigma={sig:g}, seed={s}") from e
-        files = [(_sigma_traj_name(*cell), _csv_text(
-            "iteration,dist_sq", [(i, float(v)) for i, v in enumerate(res.dist_sq)]))
+        return [(res, (_sigma_traj_name(*cell), _csv_text(
+            "iteration,dist_sq", enumerate(res.dist_sq.tolist()))))
             for cell, res in zip(cells, results)]
-        return results, files
 
-    slope_runs, files = run([(0.0, s) for s in slope_cells],
-                            cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"])
-    _write_files(out, files)
+    slope_runs = run([(0.0, s) for s in slope_cells],
+                     cfg["slope_a"], cfg["slope_b"], cfg["slope_iters"])
+    _write_files(out, [file for _, file in slope_runs])
     slopes = []
-    for s, res in enumerate(slope_runs):
+    for s, (res, _) in enumerate(slope_runs):
         try:
             slopes.append(sharing.loglog_slope(res.dist_sq))
         except DivergenceError as e:
@@ -609,15 +724,21 @@ def cmd_noise_floor(cfg, out: RunDir) -> int:
     out.write_csv("slopes.csv", "seed,loglog_slope",
                   [(s, sl) for s, sl in enumerate(slopes)])
 
-    def run_plateaus(sig):
-        results, files = run([(sig, s) for s in range(cfg["seeds"])],
-                             cfg["a"], cfg["b"], cfg["iters"])
-        return [res.plateau for res in results], files
+    # one stack per sigma, split among the workers by cost
+    stacks = [[(sig, s) for s in range(cfg["seeds"])] for sig in cfg["sigma"]]
 
-    plateaus = []
-    for plats, files in _run_cells(cfg["sigma"], run_plateaus, cfg["jobs"]):
-        _write_files(out, files)
-        plateaus.append(plats)
+    def cost(i, count):
+        size = cfg["n"] * cfg["m"] * cfg["d"]
+        return cfg["iters"] * (_PLATEAU_STEP_S + count * size * _PLATEAU_INPUT_S)
+
+    def run_plateaus(cells):
+        return [(res.plateau, file)
+                for res, file in run(cells, cfg["a"], cfg["b"], cfg["iters"])]
+
+    results = _run_stacks(stacks, cost, run_plateaus, cfg["jobs"])
+    _write_files(out, [file for _, file in results])
+    plateaus = [[plat for plat, _ in results[i:i + cfg["seeds"]]]
+                for i in range(0, len(results), cfg["seeds"])]
     summary = []
     report = [f"slope range over seeds: [{min(slopes):.3f}, {max(slopes):.3f}]"]
     prev = None

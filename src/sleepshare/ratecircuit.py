@@ -76,7 +76,9 @@ in the set-up; the block stops before it), then non-finite rates, then
 non-finite weights. The first failing presentation raises, with the
 message, presentation and t a check after every presentation gives.
 Non-finite weights show in the snapshots' -log snr (see
-`sharing._maybe_nonfinite`), so the full weight check runs only then.
+`sharing._maybe_failed`), so the full weight check runs only then; so
+does a -log snr that overflows on finite weights, which fails a run
+that ends without another failure, at its end.
 """
 
 from __future__ import annotations
@@ -88,8 +90,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .sharing import (SleepConfig, SleepResult, WeightBundle, _maybe_nonfinite,
-                      neg_log_snr)
+from .sharing import (SleepConfig, SleepResult, WeightBundle, _check_row, _maybe_failed,
+                      _row_failures, neg_log_snr)
 
 __all__ = [
     "RateCircuit",
@@ -217,7 +219,11 @@ def rate_sleep_run(bundle: WeightBundle, circuit: RateCircuit, config: SleepConf
 
     A weight decay factor that overflows, non-finite rates and non-finite
     weights raise DivergenceError naming the first presentation at which
-    one of them happens, checked in that order within a presentation.
+    one of them happens, checked in that order within a presentation. A
+    run without one of them, in which the -log snr overflowed on finite
+    weights (nan, or a sentinel that the weights do not bear out), raises
+    DivergenceError at its end, naming the first such presentation (or
+    the initial weights).
     The checks run once per block, so after the error the bundle's
     weights and the circuit's rates, inhibitory rate and t_ms are those
     after the last presentation the block ran: the block's last, or the
@@ -243,6 +249,10 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
     gain = rate_const * circuit.dt if plasticity == "continuous" else 0.0
     traj = np.empty(config.iterations)
     initial = neg_log_snr(w)
+    overflow = None
+    if _maybe_failed(np.array([initial])):
+        overflow = _check_row(np.array([initial]), w[None], "rate sleep run",
+                              "initial weights", None)
     nonneg = 0
     runner = _SharedMap(bundle, circuit, config, plasticity == "terminal",
                         min(_BLOCK, config.iterations))
@@ -266,9 +276,9 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
         if run:
             found[:] = neg_log_snr(ws)
             w[:] = ws[-1]
-        bad_weights = np.zeros(run, dtype=bool)
-        if _maybe_nonfinite(found):
-            bad_weights = ~np.isfinite(ws).all(axis=(1, 2))
+        bad_weights = bad_snr = np.zeros(run, dtype=bool)
+        if _maybe_failed(found):
+            bad_weights, bad_snr = _row_failures(found, ws)
         bad_rates = np.zeros(run, dtype=bool)
         t_block = circuit.t_ms
         if ideal:
@@ -282,6 +292,11 @@ def _ode_run(bundle, circuit, config, gen, plasticity, rate_const):
                 circuit.t_ms += t_step
         if run < m or bad_rates.any() or bad_weights.any():
             raise _first_divergence(k0, run, bad_rates, bad_weights, t_block, t_step)
+        if overflow is None and bad_snr.any():
+            overflow = DivergenceError("snr overflows on finite weights in rate sleep run",
+                                       f"presentation {k0 + int(np.argmax(bad_snr))}")
+    if overflow:
+        raise overflow
     frac = nonneg / config.iterations if config.iterations else 1.0
     return RateSleepResult(trajectory=traj, initial=initial, bundle=bundle,
                            frac_nonneg=frac)

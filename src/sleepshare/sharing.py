@@ -34,6 +34,15 @@ and finite-alpha), deterministic full-batch descent used to cross-check
 them, instant grid-mean projection for layers, patch-stack sharing, and
 the fixed-input harness that exposes the 1/k decay and sigma^2 noise
 floor of the stochastic iteration.
+
+The averaged-gradient descent w <- w - eta_k ((w - c mean w) C +
+gamma (w - w0)), which `full_batch_descent` (so `patch_share`) and the
+sigma-0 cells of `noise_floor_run` follow, is not stepped: it is affine
+and splits exactly in C's eigenbasis, so `_AveragedDescent` gives its
+iterate after any number of steps, or its whole distance trajectory,
+from one `eigh` and products of per-eigenvalue factors. It rounds
+otherwise than the step loop did; the tests keep that loop as an oracle
+(iterates within 1e-10 relative, trajectories within 1e-9).
 """
 
 from __future__ import annotations
@@ -179,11 +188,12 @@ def neg_log_snr(w: np.ndarray):
     return np.array(vals) if many else vals[0]
 
 
-def _maybe_nonfinite(neg_log: np.ndarray) -> bool:
-    """Whether some cell of a neg_log_snr row may hold a non-finite weight:
-    only then is a full check of the weights needed. nan and the converged
-    sentinel both fail the comparison."""
-    return not (neg_log > NEG_LOG_SNR_CONVERGED).all()
+def _maybe_failed(neg_log: np.ndarray) -> bool:
+    """Whether some cell of a neg_log_snr row may hold a non-finite weight
+    or a -log snr that overflowed (see `_row_failures`): only then is a
+    full check of the weights needed. nan and both sentinels fail the
+    comparisons."""
+    return not ((neg_log > NEG_LOG_SNR_CONVERGED) & (neg_log < NEG_LOG_SNR_ZERO_MEAN)).all()
 
 
 def neg_log_snr_floor(gamma: float) -> float:
@@ -342,13 +352,38 @@ def sleep_step(bundle: WeightBundle, x, gamma, eta: float,
     return velocity
 
 
-def _check_finite(w: np.ndarray, run: str, iteration: int) -> None:
+def _row_failures(row: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per cell of the (S, N, D) stack w, whose -log snr row is row:
+    whether it holds a non-finite weight, and whether its weights are
+    finite but its -log snr stands for no value: nan, the converged
+    sentinel on rows that are not exactly equal, or the zero-mean one
+    on columns whose means are not all 0 (the snr's squares overflowed
+    or underflowed). Only a row that `_maybe_failed` flags can hold
+    either."""
+    nonfinite = ~np.isfinite(w).all(axis=(1, 2))
+    unequal = ~(w == w[:, :1]).all(axis=(1, 2))
+    off_zero = (w.mean(axis=1) != 0.0).any(axis=1)
+    overflow = ~nonfinite & (np.isnan(row) | ((row == NEG_LOG_SNR_CONVERGED) & unequal)
+                             | ((row == NEG_LOG_SNR_ZERO_MEAN) & off_zero))
+    return nonfinite, overflow
+
+
+def _check_row(row: np.ndarray, w: np.ndarray, run: str, where: str,
+               first: Optional[DivergenceError]) -> Optional[DivergenceError]:
     """Raises DivergenceError naming the first cell of the (S, N, D) stack
-    w that holds a non-finite weight."""
-    if not np.isfinite(w).all():
-        cell = int(np.argmin(np.isfinite(w).all(axis=(1, 2))))
-        raise DivergenceError(f"non-finite weights in {run}",
-                              f"cell {cell}, iteration {iteration}", cell=cell)
+    w that holds a non-finite weight. Returns first, or if it is None
+    the error naming the first cell whose -log snr overflowed on finite
+    weights (see `_row_failures`), for the caller to raise once its run
+    ends without an earlier failure."""
+    nonfinite, overflow = _row_failures(row, w)
+    if nonfinite.any():
+        cell = int(np.argmax(nonfinite))
+        raise DivergenceError(f"non-finite weights in {run}", f"cell {cell}, {where}", cell=cell)
+    if first is None and overflow.any():
+        cell = int(np.argmax(overflow))
+        return DivergenceError(f"snr overflows on finite weights in {run}",
+                               f"cell {cell}, {where}", cell=cell)
+    return first
 
 
 # Iterations whose noiseless inputs one draw per cell gives.
@@ -371,7 +406,11 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
     Without noise a cell draws the inputs of `_DRAW_BLOCK` iterations in
     one call, which gives the same numbers as one draw per iteration. The
     weights are checked for non-finite values only when the -log snr row
-    is nan or the converged sentinel, which every cell holding one gives.
+    is nan or a sentinel, which every cell holding one gives. A run in
+    which no weight turns non-finite, but some cell's -log snr is nan or
+    a sentinel that its weights do not bear out (see `_row_failures`),
+    raises DivergenceError at its end, naming the first such cell and
+    iteration (or its initial weights).
     """
     if not len(bundles) == len(configs) == len(rngs) > 0:
         raise ValueError("sleep_run needs one config and one rng per bundle")
@@ -393,6 +432,9 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
     # DivergenceError reports a blow-up; numpy's warnings would bury it
     with np.errstate(over="ignore", invalid="ignore"):
         initial = neg_log_snr(stack.weights)
+        overflow = None
+        if _maybe_failed(initial):
+            overflow = _check_row(initial, stack.weights, "sleep run", "initial weights", None)
         for k in range(config.iterations):
             if noisy:
                 for i, gen in enumerate(rngs):
@@ -411,8 +453,10 @@ def sleep_run(bundles: Sequence[WeightBundle], configs: Sequence[SleepConfig],
                                   alpha=config.alpha, momentum=config.momentum,
                                   velocity=velocity)
             row = traj[:, k] = neg_log_snr(stack.weights)
-            if _maybe_nonfinite(row):
-                _check_finite(stack.weights, "sleep run", k)
+            if _maybe_failed(row):
+                overflow = _check_row(row, stack.weights, "sleep run", f"iteration {k}", overflow)
+    if overflow:
+        raise overflow
     for bundle, w in zip(bundles, stack.weights):
         bundle.weights[...] = w
     return [SleepResult(trajectory=t, initial=float(i0), bundle=b)
@@ -460,11 +504,85 @@ def _averaged_gradient(w: np.ndarray, w0: np.ndarray, cov: np.ndarray, c: float,
     return (w - c * w.mean(axis=-2, keepdims=True)) @ cov + gamma * (w - w0)
 
 
+class _AveragedDescent:
+    """The descent w <- w - eta_k * _averaged_gradient(w, w0, C, c, gamma)
+    of an (N, D) group or an (S, N, D) stack started at w0, in closed form.
+
+    The iteration is affine and splits exactly in C's eigenbasis
+    C = V diag(lam) V^T. The mean row's coordinate j moves toward its
+    fixed point by the factor 1 - eta ((1 - c) lam_j + gamma) per step,
+    and every deviation row's (w_i - mean w) coordinate j by
+    1 - eta (lam_j + gamma). So k steps scale each coordinate's offset
+    from its fixed point by a product of k such factors, and one `eigh`
+    gives the iterate after any number of steps under any schedule.
+    C is one (D, D) matrix for the whole stack or one per cell (S, D, D).
+    `products` (..., 2, D) hold the mean's and the deviations' products.
+    """
+
+    def __init__(self, w0: np.ndarray, cov: np.ndarray, c: float, gamma: float):
+        self.w0 = w0
+        self.lam, self.vecs = np.linalg.eigh(cov)
+        pull = np.stack(((1.0 - c) * self.lam, self.lam), axis=-2)
+        # per-step factors are 1 - eta * rates
+        self.rates = pull + gamma
+        mean = w0.mean(axis=-2, keepdims=True)
+        # each coordinate's offset from its fixed point, pull / rates of
+        # the coordinate itself (exactly 0 for the mean at c = 1)
+        share = pull / self.rates
+        self.mean_off = (mean @ self.vecs) * share[..., None, 0, :]
+        self.dev_off = ((w0 - mean) @ self.vecs) * share[..., None, 1, :]
+
+    def moved(self, scale: np.ndarray) -> np.ndarray:
+        """The weights that the offsets scaled by scale (..., 2, D) make
+        up, back in the weight basis."""
+        coords = self.mean_off * scale[..., None, 0, :] + self.dev_off * scale[..., None, 1, :]
+        return coords @ np.swapaxes(self.vecs, -1, -2)
+
+    def iterate(self, products: np.ndarray) -> np.ndarray:
+        """The weights once the offsets have shrunk to `products` of
+        their initial values."""
+        return self.w0 - self.moved(1.0 - products)
+
+    def dist_sq(self, products: np.ndarray) -> np.ndarray:
+        """||W - W*||_F^2 of each cell for products (K, S, 2, D): (K, S).
+        The terms overwrite products. Each cell's sum runs over its own
+        contiguous 2D terms, so a cell gets the same bits in any stack."""
+        n = self.dev_off.shape[-2]
+        weight = np.concatenate((n * self.mean_off * self.mean_off,
+                                 np.add.reduce(self.dev_off * self.dev_off, axis=-2,
+                                               keepdims=True)), axis=-2)
+        terms = np.multiply(products, products, out=products)
+        terms *= weight
+        return np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+
+
 # full_batch_descent stops once a step moves no weight by more than
 # _DESCENT_TOL of the largest initial one (at least 1), or after
 # _DESCENT_MAX_ITERS steps.
 _DESCENT_TOL = 1e-13
 _DESCENT_MAX_ITERS = 200_000
+
+
+def _first_settled(settled, cap: int) -> int:
+    """The first j < cap with settled(j), or cap: found by doubling, then
+    bisection between the last two doublings (settled is taken to stay
+    true once true, as a contracting step's size does)."""
+    if settled(0):
+        return 0
+    lo, hi = 0, 1
+    while hi < cap and not settled(hi):
+        lo, hi = hi, 2 * hi
+    if hi >= cap:
+        if cap - 1 <= lo or not settled(cap - 1):
+            return cap
+        hi = cap - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if settled(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
@@ -474,19 +592,31 @@ def full_batch_descent(w_init: np.ndarray, inputs: np.ndarray, gamma: float,
     which contracts; converges to the corresponding closed-form fixed
     point. w_init is one (N, D) group or an (S, N, D) stack of groups,
     all driven by the same inputs (the stop test then covers the whole
-    stack)."""
-    w = np.asarray(w_init, dtype=np.float64).copy()
-    w0 = w.copy()
-    cov = _empirical_cov(inputs)
-    c = bias_coefficient(alpha)
-    eta = 1.0 / (float(np.linalg.eigvalsh(cov)[-1]) + gamma)
-    scale = max(1.0, float(np.abs(w).max()))
-    for _ in range(_DESCENT_MAX_ITERS):
-        grad = _averaged_gradient(w, w0, cov, c, gamma)
-        w -= eta * grad
-        if np.abs(grad).max() * eta < _DESCENT_TOL * scale:
-            break
-    return w
+    stack).
+
+    Returns the iterate after the first step that moves no weight by
+    _DESCENT_TOL of the largest initial one (at least 1), or after
+    _DESCENT_MAX_ITERS steps, from `_AveragedDescent`: the stop step is
+    found on the closed form, not by stepping.
+    """
+    return _descent_to_stop(w_init, inputs, gamma, alpha)[0]
+
+
+def _descent_to_stop(w_init, inputs, gamma: float, alpha: float) -> Tuple[np.ndarray, int]:
+    """`full_batch_descent`'s iterate and the number of steps it took."""
+    w0 = np.asarray(w_init, dtype=np.float64)
+    descent = _AveragedDescent(w0, _empirical_cov(inputs), bias_coefficient(alpha), gamma)
+    eta = 1.0 / (float(descent.lam[-1]) + gamma)
+    factors = 1.0 - eta * descent.rates
+    limit = _DESCENT_TOL * max(1.0, float(np.abs(w0).max()))
+
+    def settled(j: int) -> bool:
+        # the step from the iterate after j steps, eta * gradient
+        step = descent.moved(factors ** j * (eta * descent.rates))
+        return bool(np.abs(step).max() < limit)
+
+    steps = min(_first_settled(settled, _DESCENT_MAX_ITERS) + 1, _DESCENT_MAX_ITERS)
+    return descent.iterate(factors ** steps), steps
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +745,11 @@ def patch_share(stack: np.ndarray, gamma: float, rng: np.random.Generator) -> np
 # fixed-input stochastic harness (decay rate and noise floor)
 
 
+# A sigma-0 distance above this (||W - W*|| above 1e100) hands the run
+# to the step loop, long before a weight or a squared distance overflows.
+_FAR_SQ = 1e200
+
+
 @dataclass
 class NoiseFloorResult:
     dist_sq: np.ndarray
@@ -637,6 +772,14 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
     injects fresh per-neuron-per-input noise whose variance sets the
     plateau. W* is the noiseless fixed point. A covariance that
     overflows raises DivergenceError, as do non-finite weights.
+
+    With sigma = 0 the whole trajectory comes from `_AveragedDescent`:
+    one cumulative product of the step factors over the schedule, with
+    the distance taken to that descent's own fixed point. A cell whose
+    distance passes _FAR_SQ (or is not finite) is stepped on its own
+    from the closed-form iterate one step before, so that a diverging
+    schedule fails where the stepped weights overflow, and a cell's
+    result still does not depend on its stack.
     """
     gens = [r.generator() for r in rngs]
     w_init, x = [], []
@@ -652,21 +795,52 @@ def noise_floor_run(n: int, d: int, m: int, gamma: float, sigma: float,
             raise DivergenceError("non-finite input covariance in noise-floor run",
                                   f"cell {cell}", cell=cell)
         w_star = np.stack([fixed_point(w0, xs, gamma) for w0, xs in zip(w_init, x)])
-        w = w_init.copy()
         dist_sq = np.empty((len(gens), iterations))
-        for k in range(iterations):
-            eta = a / (b + k)
-            if sigma > 0:
-                xi = np.stack([x[i][None, :, :] + sigma * gen.standard_normal((n, m, d))
-                               for i, gen in enumerate(gens)])
-                z = np.einsum("snd,snmd->snm", w, xi)
-                upd = np.einsum("snm,snmd->snd", z - z.mean(axis=1, keepdims=True), xi) / m
-                w -= eta * (upd + gamma * (w - w_init))
-            else:
-                w -= eta * _averaged_gradient(w, w_init, cov, 1.0, gamma)
-            _check_finite(w, "noise-floor run", k)
-            diff = w - w_star
-            dist_sq[:, k] = np.add.reduce((diff * diff).reshape(len(gens), -1), axis=1)
+
+        def steps(cells, w, start):
+            """Steps the cells (a slice) from start, in place; the first
+            (iteration, cell) whose weights are not finite, or None."""
+            for k in range(start, iterations):
+                eta = a / (b + k)
+                if sigma > 0:
+                    xi = np.stack([x[i][None, :, :] + sigma * gens[i].standard_normal((n, m, d))
+                                   for i in range(cells.start, cells.stop)])
+                    z = np.einsum("snd,snmd->snm", w, xi)
+                    upd = np.einsum("snm,snmd->snd", z - z.mean(axis=1, keepdims=True), xi) / m
+                    w -= eta * (upd + gamma * (w - w_init[cells]))
+                else:
+                    w -= eta * _averaged_gradient(w, w_init[cells], cov[cells], 1.0, gamma)
+                finite = np.isfinite(w).all(axis=(1, 2))
+                if not finite.all():
+                    return k, cells.start + int(np.argmin(finite))
+                diff = w - w_star[cells]
+                dist_sq[cells, k] = np.add.reduce((diff * diff).reshape(len(w), -1), axis=1)
+            return None
+
+        if sigma > 0:
+            failed = steps(slice(0, len(gens)), w_init.copy(), 0)
+        else:
+            descent = _AveragedDescent(w_init, cov, 1.0, gamma)
+            etas = a / (b + np.arange(iterations))[:, None, None, None]
+            # the step factors' running products, in one array
+            products = np.multiply(etas, descent.rates)
+            np.subtract(1.0, products, out=products)
+            np.multiply.accumulate(products, axis=0, out=products)
+            dist_sq[:] = descent.dist_sq(products).T
+            far = ~(dist_sq <= _FAR_SQ)
+            fails = []
+            for i in np.flatnonzero(far.any(axis=1)):
+                start = int(np.argmax(far[i]))
+                w = w_init
+                if start:
+                    factors = 1.0 - etas[:start] * descent.rates
+                    w = descent.iterate(np.multiply.reduce(factors, axis=0))
+                fails.append(steps(slice(i, i + 1), w[i:i + 1].copy(), start))
+            failed = min((f for f in fails if f), default=None)
+        if failed:
+            k, cell = failed
+            raise DivergenceError("non-finite weights in noise-floor run",
+                                  f"cell {cell}, iteration {k}", cell=cell)
     tail = max(1, iterations // 5)
     return [NoiseFloorResult(dist_sq=dsq, w_star=ws, plateau=float(dsq[-tail:].mean()))
             for dsq, ws in zip(dist_sq, w_star)]

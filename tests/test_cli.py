@@ -15,7 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sleepshare as ss
 from sleepshare import cli, trainer
 from sleepshare.errors import DivergenceError, SingularMatrixError, ToleranceError
 
@@ -329,11 +332,11 @@ def test_replay_rejects_other_subcommand(tmp_path):
                "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
 
 
-def _assert_jobs_byte_identical(tmp_path, argv):
+def _assert_jobs_byte_identical(tmp_path, argv, jobs=4):
     # every output but the manifest (which records jobs and the duration)
-    a, b = tmp_path / "j1", tmp_path / "j4"
+    a, b = tmp_path / "j1", tmp_path / f"j{jobs}"
     assert run(*argv, "--jobs", "1", "--out", str(a)) == 0
-    assert run(*argv, "--jobs", "4", "--out", str(b)) == 0
+    assert run(*argv, "--jobs", str(jobs), "--out", str(b)) == 0
     names = sorted(p.name for p in a.iterdir() if p.name != "manifest.txt")
     assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.txt")
     for name in names:
@@ -343,6 +346,101 @@ def _assert_jobs_byte_identical(tmp_path, argv):
 def test_parallel_cells_byte_identical(tmp_path):
     _assert_jobs_byte_identical(tmp_path, ["sleep-ideal", "--k", "3,6", "--gamma", "1e-2",
                                            "--seeds", "2", "--iters", "20"])
+
+
+@pytest.mark.parametrize("argv", [
+    # the benchmark's shape: two workers split the k = 9 stack
+    ["sleep-ideal", "--k", "3,9", "--seeds", "2", "--iters", "20"],
+    # two workers split one of the three sigma stacks
+    ["noise-floor", "--sigma", "0.1,0.2,0.4", "--seeds", "2", "--iters", "5",
+     "--slope-iters", "20"],
+], ids=lambda argv: argv[0])
+def test_split_stacks_byte_identical(tmp_path, argv):
+    _assert_jobs_byte_identical(tmp_path, argv, jobs=2)
+
+
+def _shares(stacks, per_step, per_cell, workers):
+    return cli._balance([len(cells) for cells in stacks],
+                        lambda i, c: per_step + c * per_cell(stacks[i]), workers)
+
+
+def test_balance_splits_the_longest_stack():
+    # sleep-ideal --k 3,9 --seeds 2 at two jobs: the k = 9 stack alone
+    # outlasts the k = 3 one, so one of its cells joins the k = 3 stack's
+    # worker, as one stack of its own
+    stacks = [[(3, g, s) for g in (1e-2, 1e-3) for s in range(2)],
+              [(9, g, s) for g in (1e-2, 1e-3) for s in range(2)]]
+
+    def weights(cells):
+        return 100 * cells[0][0] ** 2 * cli._SLEEP_WEIGHT_S
+    assert _shares(stacks, cli._SLEEP_STEP_S, weights, 2) == [[0, 3], [4, 1]]
+    # noise-floor's three sigma stacks of two seeds: one is split
+    stacks = [[(sig, s) for s in range(2)] for sig in (0.1, 0.2, 0.4)]
+    assert _shares(stacks, cli._PLATEAU_STEP_S, lambda c: 3240 * cli._PLATEAU_INPUT_S,
+                   2) == [[1, 0, 2], [1, 2, 0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5), workers=st.integers(1, 4),
+       per_step=st.floats(0.0, 10.0), per_cell=st.floats(0.1, 10.0))
+def test_balance_shares_every_cell_once_and_never_lengthens(sizes, workers, per_step,
+                                                           per_cell):
+    def cost(i, c):
+        return per_step + c * per_cell * (i + 1)
+    shares = cli._balance(sizes, cost, workers)
+    assert len(shares) == workers
+    assert [sum(col) for col in zip(*shares)] == sizes
+    makespan = max(sum(cost(i, c) for i, c in enumerate(share) if c) for share in shares)
+    # never longer than the whole stacks placed longest first
+    whole = [0.0] * workers
+    for i in sorted(range(len(sizes)), key=lambda i: -cost(i, sizes[i])):
+        whole[whole.index(min(whole))] += cost(i, sizes[i])
+    assert makespan <= max(whole) + 1e-12
+
+
+def reference_csv_text(header, rows):
+    """The formatter's former form: each value through `_csv_cell`."""
+    return "\n".join([header] + [",".join(cli._csv_cell(v) for v in row) for row in rows]) + "\n"
+
+
+MIXED_VALUES = [0, -1, 7, 10**13, -10**20, True, 0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1e300,
+                -1.7976931348623157e308, 123456789.123456789, 1e12, 1e-5, math.inf, -math.inf,
+                math.nan, np.float64(0.3), np.float64(-0.0), np.int64(42), np.float32(0.1),
+                "", "lc-ws:1", "train", "1e5", None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.one_of(
+    # every row of one length and column types: the one-format path
+    st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.tuples(*[st.sampled_from(MIXED_VALUES) for _ in range(width)]), max_size=6)),
+    # ragged rows and columns of mixed types: the value-by-value path
+    st.lists(st.lists(st.sampled_from(MIXED_VALUES), max_size=4), max_size=6),
+    st.lists(st.tuples(st.integers(-10**15, 10**15),
+                       st.floats(allow_nan=True, allow_infinity=True)), max_size=8)))
+def test_csv_text_matches_the_value_by_value_formatter(rows):
+    assert cli._csv_text("a,b", rows) == reference_csv_text("a,b", rows)
+    assert cli._csv_text("a,b", iter(rows)) == reference_csv_text("a,b", rows)
+
+
+def test_csv_text_on_a_trajectory():
+    traj = np.random.default_rng(0).normal(size=2000) * np.logspace(-300, 300, 2000)
+    rows = [(i, v, -1) for i, v in enumerate(traj.tolist())] + [(2000, -0.0, -1)]
+    assert cli._csv_text("iteration,neg_log_snr,grid", rows) == \
+        reference_csv_text("iteration,neg_log_snr,grid", rows)
+
+
+def test_serial_run_keeps_one_stack_per_k(tmp_path, monkeypatch):
+    stacks_run = []
+    real = cli._sleep_cells
+
+    def spy(cfg, cells, rate):
+        stacks_run.append([cell[0] for cell in cells])
+        return real(cfg, cells, rate)
+    monkeypatch.setattr(cli, "_sleep_cells", spy)
+    assert run("sleep-ideal", "--k", "3,9", "--seeds", "2", "--iters", "3", "--jobs", "1",
+               "--out", str(tmp_path / "o")) == 0
+    assert stacks_run == [[3] * 4, [9] * 4]
 
 
 @pytest.mark.parametrize("argv", [
@@ -524,6 +622,13 @@ NUMERICAL_FAILURES = {
     "noise-floor --gamma 1e300": "non-finite weights",
     "noise-floor --b 1e-300": "plateau mean inf",
     "fixed-point --gamma 1e-300": "[instance 0, gamma=1e-300, alpha=10]",
+    "noise-floor --slope-a 1e300": "non-finite weights in noise-floor run [cell 0, iteration 1]",
+    # the squares of the snr overflow: inf/inf, or inf over a finite variance
+    "sleep-ideal --init-std 1e300": "snr overflows on finite weights in sleep run "
+                                    "[cell 0, initial weights] [k=2, gamma=0.01, seed=0]",
+    "sleep-rate --init-std 1e300": "snr overflows on finite weights in rate sleep run",
+    "sleep-ideal --init-mean 1e300 --init-std 1e290": "snr overflows on finite weights",
+    "sleep-rate --init-mean 1e300 --init-std 1e290": "snr overflows on finite weights",
 }
 
 
@@ -538,6 +643,28 @@ def test_numerical_failures_exit_3_with_the_manifest(tmp_path, capfd, argv):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
     assert NUMERICAL_FAILURES[argv] in err[0]
     assert (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("sub", ["sleep-ideal", "sleep-rate"])
+def test_equal_rows_keep_the_converged_sentinel(tmp_path, sub):
+    # 1e300 + N(0, 1) rounds to 1e300: every row is exactly equal, so the
+    # converged sentinel is the true -log snr, however large the weights
+    out = tmp_path / "o"
+    assert run(sub, *TINY[sub], "--init-mean", "1e300", "--out", str(out)) == 0
+    rows = read_rows(out / "traj_k2_g0.01_s0.csv")
+    assert [float(r["neg_log_snr"]) for r in rows] == [ss.NEG_LOG_SNR_CONVERGED] * 3
+
+
+def test_snr_overflow_names_the_iteration():
+    # finite weights whose squares overflow partway through a run: the run
+    # fails, naming the first such iteration, and writes no nan row
+    gen = np.random.default_rng(0)
+    bundle = ss.WeightBundle.from_rng(gen, 4, 3, mean=1e150, std=1e149)
+    config = ss.SleepConfig(gamma=1e-2, schedule=ss.Schedule("constant", 1.0), iterations=5,
+                            input_mean=30.0, input_std=0.0)
+    with pytest.raises(DivergenceError, match=r"snr overflows on finite weights in sleep run "
+                                              r"\[cell 0, iteration \d\]"):
+        ss.sleep_run([bundle], [config], [gen])
 
 
 def test_rate_decay_overflow_names_presentation(tmp_path, capfd):

@@ -387,8 +387,11 @@ def map_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
     and applies each presentation's maps on its own, to a state of
     (c, r, r_inh, 1, z0, u) rows with a column per neuron (its values less
     the means) and one for the means, then checks it for a decay overflow,
-    non-finite rates and non-finite weights."""
+    non-finite rates and non-finite weights. A -log snr that overflowed on
+    finite weights fails a run that ends without one of those."""
     w, w0 = bundle.weights, bundle.init
+    overflow = ("cell 0, initial weights"
+                if np.all(np.isfinite(w)) and snr_unborne(ss.neg_log_snr(w), w) else None)
     n, d = bundle.n, bundle.d
     ideal = math.isinf(circuit.alpha)
     if not ideal:
@@ -456,8 +459,21 @@ def map_rate_sleep_run(bundle, circuit, config, gen, plasticity="continuous",
         if not np.all(np.isfinite(w)):
             raise DivergenceError("non-finite weights in rate sleep run", f"presentation {k}")
         traj[k] = ss.neg_log_snr(w)
+        if overflow is None and snr_unborne(traj[k], w):
+            overflow = f"presentation {k}"
         state[...] = nxt
+    if overflow:
+        raise DivergenceError("snr overflows on finite weights in rate sleep run", overflow)
     return traj, nonneg / config.iterations if config.iterations else 1.0
+
+
+def snr_unborne(value, w):
+    """Whether the -log snr value of the finite weights w stands for no
+    value: nan, or a sentinel that w does not bear out (rows that are not
+    exactly equal, or column means that are not all 0)."""
+    return (math.isnan(value)
+            or (value == ss.NEG_LOG_SNR_CONVERGED and not (w == w[0]).all())
+            or (value == ss.NEG_LOG_SNR_ZERO_MEAN and bool(w.mean(axis=0).any())))
 
 
 BLOCK = ss.ratecircuit._BLOCK
